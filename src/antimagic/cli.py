@@ -30,7 +30,8 @@ from .graph_core import (
     parse_caterpillar,
     parse_leaf_counts,
 )
-from .verification import check_claims, check_weight_classes, oriented_sums, verify_antimagic
+from .verification import check_claims, check_class_intervals, check_weight_classes
+from .verification import oriented_sums, verify_antimagic
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -54,10 +55,20 @@ class RunRecord:
     wall_time: float = 0.0
 
 
+def _read_text(path: str | None) -> str:
+    """The whole of the named file, or of stdin for None or "-"."""
+    try:
+        if path in (None, "-"):
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_instances(path: str | None) -> list[tuple[int, Caterpillar]]:
-    text = sys.stdin.read() if path in (None, "-") else open(path, encoding="utf-8").read()
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -77,6 +88,7 @@ def labeling_to_json(ol: OrientedLabeling, trace: ConstructionTrace) -> dict:
         ],
         "sums": {str(v): s for v, s in sorted(oriented_sums(ol).items())},
         "classes": {str(v): cls.value for v, cls in sorted(trace.classes.items())},
+        "path": list(trace.decomposition.path),
         "k1": trace.partition.k1,
         "k2": trace.partition.k2,
     }
@@ -125,71 +137,62 @@ def _labeling_from_json(doc: dict) -> OrientedLabeling:
         n = int(doc["n"])
         arcs = tuple((int(a["from"]), int(a["to"])) for a in doc["arcs"])
         labels = tuple(int(a["label"]) for a in doc["arcs"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad labeling JSON: {exc}") from exc
+    if n != len(arcs) + 1:
+        raise InputError(f"n={n}, but a tree with {len(arcs)} arcs has {len(arcs) + 1} vertices")
     try:
         return OrientedLabeling(n=n, arcs=arcs, labels=labels)
     except InputError as exc:
         raise InputError(f"labels_not_bijection: {exc}") from exc
 
 
-def _class_violations(ol: OrientedLabeling, doc: dict) -> list[str]:
-    """Interval checks reconstructible from the JSON alone (no trace)."""
-    if "classes" not in doc or "k1" not in doc or "k2" not in doc:
-        return []
-    classes = {int(v): str(c) for v, c in doc["classes"].items()}
-    k1, k2, m = int(doc["k1"]), int(doc["k2"]), ol.m
-    weights = {v: abs(s) for v, s in oriented_sums(ol).items()}
-    leaf_neighbors: dict[int, bool] = {v: False for v in range(ol.n)}
-    for tail, head in ol.arcs:
-        if classes.get(head) == "leaf":
-            leaf_neighbors[tail] = True
-        if classes.get(tail) == "leaf":
-            leaf_neighbors[head] = True
-    violations = []
-
-    def ws(names: set[str]) -> list[int]:
-        return [weights[v] for v, c in classes.items() if c in names]
-
-    light = ws({"light"})
-    if light and not all(0 <= w <= k1 - 1 for w in light):
-        violations.append("light_range")
-    ones = ws({"leaf", "path_end_leaf"})
-    if ones and not all(k1 <= w <= k2 + 1 for w in ones):
-        violations.append("degree_one_range")
-    ends = ws({"path_end_leaf"})
-    if ends and k1 not in ends:
-        violations.append("u0_weight")
-    for v, c in classes.items():
-        if c != "heavy":
-            continue
-        if leaf_neighbors[v]:
-            if weights[v] < m + k1 + 1:
-                violations.append("heavy_with_heavy_edge_range")
-        elif not k2 + 2 <= weights[v] <= m + k1:
-            violations.append("heavy_no_heavy_edge_range")
-    for name, group in (("light", light), ("degree_one", ones)):
-        if len(set(group)) != len(group):
-            violations.append(f"{name}_not_distinct")
-    return sorted(set(violations))
+def _class_args_from_json(doc: dict, n: int) -> tuple | None:
+    """classes, path, k1, k2 for `check_class_intervals`; None if the document has none of them."""
+    keys = ("classes", "path", "k1", "k2")
+    missing = [key for key in keys if key not in doc]
+    if len(missing) == len(keys):
+        return None
+    if missing:
+        raise InputError(f"{', '.join(keys)} come together; missing {', '.join(missing)}")
+    if not isinstance(doc["classes"], dict) or not isinstance(doc["path"], list) or not doc["path"]:
+        raise InputError("classes must be an object and path a non-empty list")
+    by_name = {c.value: c for c in VertexClass}
+    try:
+        classes = {int(v): by_name[c] for v, c in doc["classes"].items()}
+        path = [int(v) for v in doc["path"]]
+        k1, k2 = int(doc["k1"]), int(doc["k2"])
+    except KeyError as exc:
+        raise InputError(f"classes: unknown class {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"bad classes, path, k1 or k2: {exc}") from exc
+    outside = [v for v in (*classes, *path) if not 0 <= v < n]
+    if outside:
+        raise InputError(f"vertex {outside[0]} out of range for n={n}")
+    return classes, path, k1, k2
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    text = sys.stdin.read() if args.input in (None, "-") else open(args.input, encoding="utf-8").read()
+    text = _read_text(args.input)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON: {exc}") from exc
     ol = _labeling_from_json(doc)
+    class_args = _class_args_from_json(doc, ol.n)
     sums = oriented_sums(ol)
     violations = []
     if not verify_antimagic(ol):
         violations.append("duplicate_sum")
     if "sums" in doc:
-        declared = {int(v): int(s) for v, s in doc["sums"].items()}
+        try:
+            declared = {int(v): int(s) for v, s in doc["sums"].items()}
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad sums: {exc}") from exc
         if declared != sums:
             violations.append("declared_sums_mismatch")
-    violations += _class_violations(ol, doc)
+    if class_args is not None:
+        violations += check_class_intervals(ol, sums, *class_args)[0]
     report = {
         "sums": {str(v): s for v, s in sorted(sums.items())},
         "antimagic": "duplicate_sum" not in violations,
@@ -258,10 +261,9 @@ def _stress_one(task: tuple[int, int, int]) -> RunRecord:
     c = random_caterpillar(cfg, rng=rng)
     start = time.perf_counter()
     ol, trace = construct(c, seed=master_seed + index)
-    ok = verify_antimagic(ol)
     report = check_weight_classes(ol, trace)
     violations = list(report.violations)
-    if not ok:
+    if not report.antimagic:
         violations.append("duplicate_sum")
     violations += [name for name, passed in check_claims(c, ol, trace) if not passed]
     return RunRecord(
@@ -273,7 +275,7 @@ def _stress_one(task: tuple[int, int, int]) -> RunRecord:
         n_l=trace.n_l,
         n_h=trace.n_h,
         seed=master_seed + index,
-        antimagic=ok,
+        antimagic=report.antimagic,
         violations=violations,
         wall_time=time.perf_counter() - start,
     )

@@ -187,9 +187,6 @@ class PathDecomposition:
     nonpath_edges: frozenset[Edge]
     trimmed_tail: Optional[int]      # the dropped endpoint when m - r is odd
 
-    def path_index(self, v: int) -> int:
-        return self.path.index(v)
-
 
 def longest_path_decomposition(c: Caterpillar) -> PathDecomposition:
     """Pick a longest path (leaf, spine, leaf) and trim it to even length.

@@ -114,13 +114,9 @@ def confirm_construction(c: Caterpillar, seed: int = 0, cap: int = DEFAULT_CAP) 
     ol, _ = construct(c, seed=seed)
     if ol.undirected_edges() != frozenset(c.tree.edges):
         return False
-    orientation = 0
-    label_of = {}
-    for (tail, head), lbl in zip(ol.arcs, ol.labels):
-        label_of[(min(tail, head), max(tail, head))] = lbl
-        if tail > head:
-            orientation |= 1 << c.tree.edges.index((head, tail))
-    labeling = tuple(label_of[e] for e in c.tree.edges)
+    label_of = dict(zip(ol.arcs, ol.labels))
+    orientation = sum(1 << i for i, (u, v) in enumerate(c.tree.edges) if (v, u) in label_of)
+    labeling = tuple(label_of.get((u, v)) or label_of[(v, u)] for u, v in c.tree.edges)
     accepted = sums_distinct(c.tree.n, c.tree.edges, orientation, labeling)
     return accepted and verification.verify_antimagic(ol)
 

@@ -7,6 +7,7 @@ a bug in the construction's own sums cannot hide itself.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .construction import ConstructionTrace
@@ -30,15 +31,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.antimagic and not self.violations
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sums": {str(v): s for v, s in sorted(self.sums.items())},
-            "weights": {str(v): w for v, w in sorted(self.weights.items())},
-            "class_ranges": {k: list(v) for k, v in self.class_ranges.items()},
-            "antimagic": self.antimagic,
-            "violations": self.violations,
-        }
-
 
 def oriented_sums(ol: OrientedLabeling) -> dict[int, int]:
     """Per-vertex sum of entering labels minus leaving labels."""
@@ -60,77 +52,84 @@ def _check_distinct(values: list[int], name: str, violations: list[str]) -> None
         violations.append(f"{name}_not_distinct")
 
 
-def check_weight_classes(ol: OrientedLabeling, trace: ConstructionTrace) -> VerificationReport:
-    """Validate the per-class weight intervals the construction promises.
+def check_class_intervals(
+    ol: OrientedLabeling,
+    sums: dict[int, int],
+    classes: Mapping[int, VertexClass],
+    path: Sequence[int],
+    k1: int,
+    k2: int,
+) -> tuple[list[str], dict[str, tuple[int, int]]]:
+    """Validate the per-class weight intervals; return violations and observed ranges.
 
     Light weights fill [0, k1-1]; degree-one weights fill [k1, k2+1]; heavy
-    vertices without heavy edges land in [k2+2, m+k1], strictly decreasing in
-    path index; heavy vertices with heavy edges exceed m+k1. The four observed
-    ranges must not overlap and all weights must be pairwise distinct.
+    vertices without heavy edges land in [k2+2, m+k1], strictly decreasing
+    along the path u_0..u_k; heavy vertices with heavy edges (arcs to a `leaf`
+    vertex) exceed m+k1. u_0 weighs k1, and u_k weighs k2+1 when it is a
+    path-end leaf. The observed ranges must not overlap and all weights must
+    be pairwise distinct.
     """
-    sums = oriented_sums(ol)
     weights = {v: abs(s) for v, s in sums.items()}
-    p = trace.partition
-    d = trace.decomposition
-    m, k1, k2 = p.m, p.k1, p.k2
+    m = ol.m
+    leaf = VertexClass.NON_PATH_LEAF
+    next_to_leaf = {t for t, h in ol.arcs if classes.get(h) is leaf}
+    next_to_leaf.update(h for t, h in ol.arcs if classes.get(t) is leaf)
+    bounds = {
+        "light": (0, k1 - 1),
+        "degree_one": (k1, k2 + 1),
+        "heavy_no_heavy_edge": (k2 + 2, m + k1),
+        "heavy_with_heavy_edge": (m + k1 + 1, None),
+    }
+    groups: dict[str, list[int]] = {name: [] for name in bounds}
+    for v, c in classes.items():
+        if c is VertexClass.HEAVY:
+            name = "heavy_with_heavy_edge" if v in next_to_leaf else "heavy_no_heavy_edge"
+        else:
+            name = "light" if c is VertexClass.LIGHT else "degree_one"
+        groups[name].append(weights[v])
+
     violations: list[str] = []
-
-    path_index = {v: i for i, v in enumerate(d.path)}
-    has_heavy_edge = {v: False for v in range(ol.n)}
-    for a, b in d.nonpath_edges:
-        u = a if a in path_index else b
-        if trace.classes[u] is VertexClass.HEAVY:
-            has_heavy_edge[u] = True
-
-    light = [v for v, c in trace.classes.items() if c is VertexClass.LIGHT]
-    deg_one = [
-        v
-        for v, c in trace.classes.items()
-        if c in (VertexClass.PATH_END_LEAF, VertexClass.NON_PATH_LEAF)
-    ]
-    heavy_plain = [
-        v for v, c in trace.classes.items() if c is VertexClass.HEAVY and not has_heavy_edge[v]
-    ]
-    heavy_loaded = [
-        v for v, c in trace.classes.items() if c is VertexClass.HEAVY and has_heavy_edge[v]
-    ]
-
-    def observe(name: str, vs: list[int], lo: int, hi: int | None) -> None:
-        if not vs:
-            return
-        ws = [weights[v] for v in vs]
+    ranges: dict[str, tuple[int, int]] = {}
+    for name, ws in groups.items():
+        if not ws:
+            continue
+        lo, hi = bounds[name]
         _check_distinct(ws, name, violations)
         if min(ws) < lo or (hi is not None and max(ws) > hi):
             violations.append(f"{name}_range")
         ranges[name] = (min(ws), max(ws))
 
-    ranges: dict[str, tuple[int, int]] = {}
-    observe("light", light, 0, k1 - 1)
-    observe("degree_one", deg_one, k1, k2 + 1)
-    observe("heavy_no_heavy_edge", heavy_plain, k2 + 2, m + k1)
-    observe("heavy_with_heavy_edge", heavy_loaded, m + k1 + 1, None)
-
-    # Weights of plain heavy vertices strictly decrease along the path.
-    by_index = sorted(heavy_plain, key=path_index.__getitem__)
-    if any(weights[a] <= weights[b] for a, b in zip(by_index, by_index[1:])):
+    plain = [
+        weights[v]
+        for v in path
+        if classes.get(v) is VertexClass.HEAVY and v not in next_to_leaf
+    ]
+    if any(a <= b for a, b in zip(plain, plain[1:])):
         violations.append("heavy_no_heavy_edge_not_decreasing")
 
-    u0 = d.path[0]
-    if weights[u0] != k1:
+    if weights[path[0]] != k1:
         violations.append("u0_weight")
-    if d.trimmed_tail is None:
-        uk = d.path[-1]
-        if weights[uk] != k2 + 1:
-            violations.append("uk_weight")
+    uk = path[-1]
+    if classes.get(uk) is VertexClass.PATH_END_LEAF and weights[uk] != k2 + 1:
+        violations.append("uk_weight")
 
-    observed = sorted(ranges.items(), key=lambda kv: kv[1])
-    if any(a[1][1] >= b[1][0] for a, b in zip(observed, observed[1:])):
+    observed = sorted(ranges.values())
+    if any(a[1] >= b[0] for a, b in zip(observed, observed[1:])):
         violations.append("class_ranges_overlap")
     _check_distinct(list(weights.values()), "all_weights", violations)
+    return violations, ranges
 
+
+def check_weight_classes(ol: OrientedLabeling, trace: ConstructionTrace) -> VerificationReport:
+    """`check_class_intervals` on the classes and path the construction recorded."""
+    sums = oriented_sums(ol)
+    p = trace.partition
+    violations, ranges = check_class_intervals(
+        ol, sums, trace.classes, trace.decomposition.path, p.k1, p.k2
+    )
     return VerificationReport(
         sums=sums,
-        weights=weights,
+        weights={v: abs(s) for v, s in sums.items()},
         class_ranges=ranges,
         antimagic=verify_antimagic(ol),
         violations=violations,
@@ -160,9 +159,10 @@ def check_claims(
             path_sums[head] += lbl
             path_sums[tail] -= lbl
 
+    path_index = {v: i for i, v in enumerate(d.path)}
     claim2 = True
     for v in trace.light_order:
-        idx = d.path_index(v)
+        idx = path_index[v]
         w = abs(path_sums[v])
         expect_high = idx % 2 == 0 or (d.trimmed_tail is not None and idx == d.k)
         if w != (p.k2 + 1 if expect_high else p.k2):

@@ -1,13 +1,52 @@
 import io
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from antimagic.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_VERIFY_FAIL,
+    labeling_to_json,
     main,
 )
+from antimagic.construction import construct
+from antimagic.graph_core import OrientedLabeling
+from antimagic.verification import check_weight_classes
+
+from conftest import caterpillars
+
+# run() resets stdin and drains the captured output on every call, so the
+# function-scoped fixtures are safe to share between hypothesis examples.
+reuses_fixtures = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+CLASS_NAMES = ["light", "heavy", "leaf", "path_end_leaf"]
+
+
+@st.composite
+def corrupted_documents(draw):
+    """A constructed labeling document with one key, entry or arc field dropped or replaced."""
+    c = draw(caterpillars(max_spine=4, max_leaves_per_vertex=3))
+    doc = target = labeling_to_json(*construct(c))
+    key = draw(st.sampled_from(sorted(target)))
+    while isinstance(target[key], (list, dict)) and draw(st.booleans()):
+        target = target[key]
+        keys = range(len(target)) if isinstance(target, list) else sorted(target)
+        key = draw(st.sampled_from(keys))
+    if isinstance(target, dict) and draw(st.integers(0, 3)) == 0:
+        del target[key]
+    else:
+        target[key] = draw(st.integers(-1, 12) | st.sampled_from(CLASS_NAMES) | json_values)
+    return doc
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -50,6 +89,13 @@ class TestConstruct:
         code, _, err = run(capsys, monkeypatch, ["construct", "-"], stdin="2\n0 1 0\n")
         assert code == EXIT_INPUT
         assert "line 2" in err
+
+    def test_missing_file(self, capsys, monkeypatch, tmp_path):
+        for command in ("construct", "verify"):
+            code, out, err = run(capsys, monkeypatch, [command, str(tmp_path / "missing")])
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert "cannot read" in err
 
     def test_file_input(self, capsys, monkeypatch, tmp_path):
         f = tmp_path / "input.txt"
@@ -123,6 +169,73 @@ class TestVerify:
         doc = self.construct_json(capsys, monkeypatch, "1 0 0 0 2\n")
         code, _, _ = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
         assert code == EXIT_OK
+
+    def test_reversed_path_fails(self, capsys, monkeypatch):
+        doc = self.construct_json(capsys, monkeypatch, "1 1 1\n")
+        doc["path"].reverse()
+        code, out, _ = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
+        assert code == EXIT_VERIFY_FAIL
+        assert "u0_weight" in json.loads(out)["violations"]
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"classes": {"x": "light"}}, "classes"),
+            ({"sums": {"x": 1}}, "sums"),
+            ({"sums": [1, 2]}, "sums"),
+            ({"classes": {"99": "light"}}, "out of range"),
+            ({"classes": {"0": ["light"]}}, "unhashable"),
+            ({"classes": {"0": "medium"}}, "unknown class"),
+            ({"path": ["a"]}, "path"),
+            ({"path": [99]}, "out of range"),
+            ({"path": []}, "path"),
+            ({"path": None}, "missing path"),
+            ({"k1": None, "k2": None}, "missing k1, k2"),
+            ({"k1": float("inf")}, "k1"),
+            ({"n": 5, "arcs": []}, "n=5"),
+            ({"n": 10**12}, "n="),
+        ],
+    )
+    def test_malformed_document(self, capsys, monkeypatch, patch, message):
+        doc = self.construct_json(capsys, monkeypatch, "1 1 1\n")
+        doc.update(patch)
+        doc = {key: value for key, value in doc.items() if value is not None}
+        code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert message in err
+
+    @reuses_fixtures
+    @given(
+        caterpillars(),
+        st.integers(0, 5),
+        st.sampled_from(["none", "swap", "flip"]),
+        st.integers(0, 2**16),
+        st.integers(0, 2**16),
+    )
+    def test_agrees_with_library(self, capsys, monkeypatch, c, seed, mutation, i, j):
+        ol, trace = construct(c, seed=seed)
+        arcs, labels = list(ol.arcs), list(ol.labels)
+        i, j = i % c.m, j % c.m
+        if mutation == "swap":
+            labels[i], labels[j] = labels[j], labels[i]
+        elif mutation == "flip":
+            arcs[i] = arcs[i][::-1]
+        ol = OrientedLabeling(n=ol.n, arcs=tuple(arcs), labels=tuple(labels))
+        stdin = json.dumps(labeling_to_json(ol, trace))
+        code, out, _ = run(capsys, monkeypatch, ["verify", "-"], stdin=stdin)
+        violations = json.loads(out)["violations"]
+        assert code == (EXIT_VERIFY_FAIL if violations else EXIT_OK)
+        shared = [v for v in violations if v not in ("duplicate_sum", "declared_sums_mismatch")]
+        assert shared == check_weight_classes(ol, trace).violations
+
+    @settings(reuses_fixtures, max_examples=300)
+    @given(st.one_of(json_values.map(json.dumps), corrupted_documents().map(json.dumps), st.text()))
+    def test_fuzz_exit_codes(self, capsys, monkeypatch, text):
+        code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=text)
+        assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_INPUT)
+        if code == EXIT_INPUT:
+            assert out == "" and err.startswith("input error:")
 
 
 class TestOracle:

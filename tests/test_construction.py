@@ -243,7 +243,8 @@ class TestPaperExampleReconstruction:
         labels, phase1, order, partial = label_heavy_edges(
             c, d, p, classes, dirs, path_labels, nonpath_arcs, light_labels, rng
         )
-        by_index = {d.path_index(v): v for v in order}
+        index_of = {v: i for i, v in enumerate(d.path)}
+        by_index = {index_of[v]: v for v in order}
         assert partial[by_index[4]] == 22
         assert partial[by_index[7]] == 24
         assert partial[by_index[1]] == 36
