@@ -25,6 +25,7 @@ from .graph_core import (
     InvariantViolation,
     OrientedLabeling,
     ResourceLimitError,
+    Tree,
     VertexClass,
     format_leaf_counts,
     parse_caterpillar,
@@ -132,18 +133,27 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
+def _int(value: object) -> int:
+    """A JSON integer as it is; TypeError for anything else, floats and booleans included."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
 def _labeling_from_json(doc: dict) -> OrientedLabeling:
     try:
-        n = int(doc["n"])
-        arcs = tuple((int(a["from"]), int(a["to"])) for a in doc["arcs"])
-        labels = tuple(int(a["label"]) for a in doc["arcs"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n = _int(doc["n"])
+        arcs = tuple((_int(a["from"]), _int(a["to"])) for a in doc["arcs"])
+        labels = tuple(_int(a["label"]) for a in doc["arcs"])
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad labeling JSON: {exc}") from exc
-    if n != len(arcs) + 1:
-        raise InputError(f"n={n}, but a tree with {len(arcs)} arcs has {len(arcs) + 1} vertices")
+    try:
+        Tree(n, arcs)
+    except InputError as exc:
+        raise InputError(f"arcs do not form a tree: {exc}") from exc
     try:
         return OrientedLabeling(n=n, arcs=arcs, labels=labels)
-    except InputError as exc:
+    except InputError as exc:  # the arcs form a tree, so only the labels can be at fault
         raise InputError(f"labels_not_bijection: {exc}") from exc
 
 
@@ -160,11 +170,11 @@ def _class_args_from_json(doc: dict, n: int) -> tuple | None:
     by_name = {c.value: c for c in VertexClass}
     try:
         classes = {int(v): by_name[c] for v, c in doc["classes"].items()}
-        path = [int(v) for v in doc["path"]]
-        k1, k2 = int(doc["k1"]), int(doc["k2"])
+        path = [_int(v) for v in doc["path"]]
+        k1, k2 = _int(doc["k1"]), _int(doc["k2"])
     except KeyError as exc:
         raise InputError(f"classes: unknown class {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad classes, path, k1 or k2: {exc}") from exc
     outside = [v for v in (*classes, *path) if not 0 <= v < n]
     if outside:
@@ -186,8 +196,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         violations.append("duplicate_sum")
     if "sums" in doc:
         try:
-            declared = {int(v): int(s) for v, s in doc["sums"].items()}
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            declared = {int(v): _int(s) for v, s in doc["sums"].items()}
+        except (AttributeError, TypeError, ValueError) as exc:
             raise InputError(f"bad sums: {exc}") from exc
         if declared != sums:
             violations.append("declared_sums_mismatch")
@@ -202,11 +212,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if not violations else EXIT_VERIFY_FAIL
 
 
+def _at_least(name: str, value: int, lo: int) -> int:
+    if value < lo:
+        raise InputError(f"{name} must be at least {lo}, got {value}")
+    return value
+
+
 def _oracle_cap(args: argparse.Namespace) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("ANTIMAGIC_ORACLE_CAP")
-    return int(env) if env else oracle_mod.DEFAULT_CAP
+    """--cap, else ANTIMAGIC_ORACLE_CAP, else the default."""
+    cap = args.cap
+    if cap is None:
+        env = os.environ.get("ANTIMAGIC_ORACLE_CAP")
+        try:
+            cap = int(env) if env else oracle_mod.DEFAULT_CAP
+        except ValueError:
+            raise InputError(f"ANTIMAGIC_ORACLE_CAP={env!r} is not an integer") from None
+    return _at_least("the oracle cap", cap, 0)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -282,6 +303,8 @@ def _stress_one(task: tuple[int, int, int]) -> RunRecord:
 
 
 def cmd_stress(args: argparse.Namespace) -> int:
+    _at_least("--max-m", args.max_m, 2)
+    _at_least("--jobs", args.jobs, 1)
     tasks = [(i, args.seed, args.max_m) for i in range(args.count)]
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:

@@ -32,7 +32,6 @@ from .graph_core import (
     OrientedLabeling,
     PathDecomposition,
     VertexClass,
-    edge,
     longest_path_decomposition,
 )
 
@@ -46,9 +45,7 @@ class ConstructionTrace:
     classes: dict[int, VertexClass]
     path_arc_directions: tuple[bool, ...]  # True: path edge i runs u_i -> u_{i+1}
     light_order: tuple[int, ...]
-    heavy_phase1_assignments: dict[Edge, int]
     heavy_order: tuple[int, ...]
-    partial_weights: dict[int, int]  # per heavy_order vertex, before its last label
 
     @property
     def n_l(self) -> int:
@@ -75,18 +72,9 @@ def label_path_edges(d: PathDecomposition, p: LabelPartition) -> dict[Edge, int]
     labels: dict[Edge, int] = {}
     for i, e in enumerate(d.path_edges):
         labels[e] = p.k1 - i // 2 if i % 2 == 0 else p.m - (i - 1) // 2
-    used = sorted(labels.values())
-    if used != sorted(list(p.L1) + list(p.L3)):
+    if sorted(labels.values()) != [*p.L1, *p.L3]:
         raise InvariantViolation("path labels do not exhaust L1 and L3")
     return labels
-
-
-def _offpath_neighbors(
-    c: Caterpillar, d: PathDecomposition, v: int, on_path: set[int] | None = None
-) -> list[int]:
-    if on_path is None:
-        on_path = set(d.path)
-    return [w for w in c.tree.adjacency[v] if w not in on_path]
 
 
 def classify_vertices(
@@ -99,29 +87,16 @@ def classify_vertices(
     it is heavy. Degree-one path vertices (u_0, and u_k in the even case) are
     path-end leaves; everything off the path is a plain leaf.
     """
-    classes: dict[int, VertexClass] = {}
-    on_path = set(d.path)
-    for v in range(c.tree.n):
-        if v not in on_path:
-            classes[v] = VertexClass.NON_PATH_LEAF
-    m = len(c.tree.edges)
-    for idx, v in enumerate(d.path):
-        if len(c.tree.adjacency[v]) == 1:
+    classes = {w: VertexClass.NON_PATH_LEAF for leaves in d.offpath_leaves for w in leaves}
+    labels = [0, *(path_labels[e] for e in d.path_edges), 0]  # labels[i]: path edge i-1
+    for i, v in enumerate(d.path):
+        if i == 0 or (i == d.k and d.trimmed_tail is None):
             classes[v] = VertexClass.PATH_END_LEAF
-            continue
-        s_p = sum(path_labels[e] for e in _incident_path_edges(d, idx))
-        offpath = sum(1 for w in c.tree.adjacency[v] if w not in on_path)
-        classes[v] = VertexClass.LIGHT if s_p < m and offpath == 1 else VertexClass.HEAVY
+        elif labels[i] + labels[i + 1] < c.m and len(d.offpath_leaves[i]) == 1:
+            classes[v] = VertexClass.LIGHT
+        else:
+            classes[v] = VertexClass.HEAVY
     return classes
-
-
-def _incident_path_edges(d: PathDecomposition, idx: int) -> list[Edge]:
-    out = []
-    if idx > 0:
-        out.append(d.path_edges[idx - 1])
-    if idx < d.k:
-        out.append(d.path_edges[idx])
-    return out
 
 
 def orient_path(d: PathDecomposition, classes: dict[int, VertexClass]) -> tuple[bool, ...]:
@@ -138,18 +113,16 @@ def orient_path(d: PathDecomposition, classes: dict[int, VertexClass]) -> tuple[
     return tuple(dirs)
 
 
-def path_oriented_sum(
-    d: PathDecomposition, dirs: tuple[bool, ...], path_labels: dict[Edge, int], idx: int
-) -> int:
-    """Oriented sum of path vertex u_idx restricted to the oriented path."""
-    total = 0
-    if idx > 0:
-        lbl = path_labels[d.path_edges[idx - 1]]
-        total += lbl if dirs[idx - 1] else -lbl
-    if idx < d.k:
-        lbl = path_labels[d.path_edges[idx]]
-        total += -lbl if dirs[idx] else lbl
-    return total
+def _path_sums(
+    d: PathDecomposition, dirs: tuple[bool, ...], path_labels: dict[Edge, int]
+) -> list[int]:
+    """Oriented sum of each path vertex u_0..u_k over the oriented path edges alone."""
+    sums = [0] * (d.k + 1)
+    for i, e in enumerate(d.path_edges):
+        flow = path_labels[e] if dirs[i] else -path_labels[e]  # from u_i to u_{i+1}
+        sums[i] -= flow
+        sums[i + 1] += flow
+    return sums
 
 
 def orient_nonpath_edges(
@@ -160,22 +133,20 @@ def orient_nonpath_edges(
     path_labels: dict[Edge, int],
 ) -> dict[Edge, Arc]:
     """Step 5: light edges point away from positive path sums, heavy edges into them."""
-    index_of = {v: i for i, v in enumerate(d.path)}
     arcs: dict[Edge, Arc] = {}
-    for e in d.nonpath_edges:
-        a, b = e
-        u, v = (a, b) if a in index_of else (b, a)
-        if u not in index_of:
-            raise InvariantViolation(f"non-path edge {e} touches no path vertex")
-        s = path_oriented_sum(d, dirs, path_labels, index_of[u])
+    for u, leaves, s in zip(d.path, d.offpath_leaves, _path_sums(d, dirs, path_labels)):
+        if not leaves:
+            continue
         if s == 0:
             raise InvariantViolation(f"zero oriented path sum at {u} with an off-path edge")
         if classes[u] is VertexClass.LIGHT:
-            arcs[e] = (u, v) if s > 0 else (v, u)
+            outward = s > 0
         elif classes[u] is VertexClass.HEAVY:
-            arcs[e] = (v, u) if s > 0 else (u, v)
+            outward = s < 0
         else:
             raise InvariantViolation(f"off-path edge at unclassified vertex {u}")
+        for w in leaves:  # (u, w) is already an Edge, see PathDecomposition
+            arcs[u, w] = (u, w) if outward else (w, u)
     return arcs
 
 
@@ -188,22 +159,16 @@ def label_light_edges(
     path_labels: dict[Edge, int],
 ) -> tuple[dict[Edge, int], tuple[int, ...]]:
     """Step 6: the t-th light vertex (by path weight, ties by index) gets k2 - t + 1."""
-    lights = [
-        (abs(path_oriented_sum(d, dirs, path_labels, i)), i, v)
-        for i, v in enumerate(d.path)
-        if classes[v] is VertexClass.LIGHT
-    ]
-    lights.sort()
-    on_path = set(d.path)
+    sums = _path_sums(d, dirs, path_labels)
+    lights = sorted(
+        (abs(sums[i]), i) for i, v in enumerate(d.path) if classes[v] is VertexClass.LIGHT
+    )
     labels: dict[Edge, int] = {}
-    order = []
-    for t, (_, _, v) in enumerate(lights, start=1):
-        offs = _offpath_neighbors(c, d, v, on_path)
-        if len(offs) != 1:
-            raise InvariantViolation(f"light vertex {v} without a unique off-path edge")
-        labels[edge(v, offs[0])] = p.k2 - t + 1
-        order.append(v)
-    return labels, tuple(order)
+    for t, (_, i) in enumerate(lights, start=1):
+        if len(d.offpath_leaves[i]) != 1:
+            raise InvariantViolation(f"light vertex {d.path[i]} without a unique off-path edge")
+        labels[d.path[i], d.offpath_leaves[i][0]] = p.k2 - t + 1
+    return labels, tuple(d.path[i] for _, i in lights)
 
 
 def label_heavy_edges(
@@ -224,47 +189,36 @@ def label_heavy_edges(
     id is the one deferred. Phase 2: vertices left with a single unlabeled edge
     are ordered by nondecreasing partial weight (ties by path index) and the
     t-th one receives the t-th smallest remaining label.
+
+    Returns all heavy labels, the phase-1 labels, the phase-2 vertex order and
+    each of those vertices' partial weight.
     """
-    n_l = len(light_labels)
-    pool = list(range(p.k1 + 1, p.k2 - n_l + 1))
-    heavy_edges_of: dict[int, list[Edge]] = {}
-    index_of = {v: i for i, v in enumerate(d.path)}
-    for e in d.nonpath_edges:
-        if e in light_labels:
-            continue
-        a, b = e
-        u = a if a in index_of else b
-        heavy_edges_of.setdefault(u, []).append(e)
-    if sum(len(es) for es in heavy_edges_of.values()) != len(pool):
+    pool = range(p.k1 + 1, p.k2 - len(light_labels) + 1)
+    heavy = [
+        i for i, v in enumerate(d.path) if classes[v] is VertexClass.HEAVY and d.offpath_leaves[i]
+    ]
+    if sum(len(d.offpath_leaves[i]) for i in heavy) != len(pool):
         raise InvariantViolation("heavy-edge count disagrees with the unused label pool")
 
     shuffled = list(pool)
     rng.shuffle(shuffled)
+    sums = _path_sums(d, dirs, path_labels)
     phase1: dict[Edge, int] = {}
-    deferred: dict[int, Edge] = {}
-    for u in sorted(heavy_edges_of, key=index_of.__getitem__):
-        # The off-path endpoint identifies each heavy edge uniquely.
-        es = sorted(heavy_edges_of[u], key=lambda e: e[0] + e[1] - u)
-        deferred[u] = es[-1]
-        for e in es[:-1]:
-            phase1[e] = shuffled.pop()
+    deferred = []  # (partial weight, path index, vertex, deferred edge)
+    for i in heavy:
+        u, leaves, s = d.path[i], d.offpath_leaves[i], sums[i]
+        for w in leaves[:-1]:
+            lbl = shuffled.pop()
+            phase1[u, w] = lbl
+            s += lbl if nonpath_arcs[u, w][1] == u else -lbl
+        deferred.append((abs(s), i, u, (u, leaves[-1])))
+    deferred.sort()
 
-    partial: dict[int, int] = {}
-    for u in deferred:
-        s = path_oriented_sum(d, dirs, path_labels, index_of[u])
-        for e in heavy_edges_of[u]:
-            if e in phase1:
-                tail, head = nonpath_arcs[e]
-                s += phase1[e] if head == u else -phase1[e]
-        partial[u] = abs(s)
-
-    ordered = sorted(deferred, key=lambda u: (partial[u], index_of[u]))
-    phase2: dict[Edge, int] = {}
-    for u, lbl in zip(ordered, sorted(shuffled)):
-        phase2[deferred[u]] = lbl
     labels = dict(phase1)
-    labels.update(phase2)
-    return labels, phase1, tuple(ordered), partial
+    for (_, _, _, e), lbl in zip(deferred, sorted(shuffled)):
+        labels[e] = lbl
+    order = tuple(u for _, _, u, _ in deferred)
+    return labels, phase1, order, {u: w for w, _, u, _ in deferred}
 
 
 def construct(c: Caterpillar, seed: int = 0) -> tuple[OrientedLabeling, ConstructionTrace]:
@@ -277,19 +231,18 @@ def construct(c: Caterpillar, seed: int = 0) -> tuple[OrientedLabeling, Construc
     nonpath_arcs = orient_nonpath_edges(c, d, classes, dirs, path_labels)
     light_labels, light_order = label_light_edges(c, d, p, classes, dirs, path_labels)
     rng = random.Random(seed)
-    heavy_labels, phase1, heavy_order, partial = label_heavy_edges(
+    heavy_labels, _, heavy_order, _ = label_heavy_edges(
         c, d, p, classes, dirs, path_labels, nonpath_arcs, light_labels, rng
     )
 
-    arcs: list[Arc] = []
-    labels: list[int] = []
-    for i, e in enumerate(d.path_edges):
-        u, v = d.path[i], d.path[i + 1]
-        arcs.append((u, v) if dirs[i] else (v, u))
-        labels.append(path_labels[e])
-    for e in sorted(d.nonpath_edges):
-        arcs.append(nonpath_arcs[e])
-        labels.append(light_labels.get(e, heavy_labels.get(e, 0)))
+    # Path edges in path order, then off-path edges in sorted order.
+    arcs = [(u, v) if forward else (v, u) for u, v, forward in zip(d.path, d.path[1:], dirs)]
+    labels = [path_labels[e] for e in d.path_edges]
+    offpath_labels = light_labels | heavy_labels
+    for u, leaves in zip(d.path, d.offpath_leaves):
+        for w in leaves:
+            arcs.append(nonpath_arcs[u, w])
+            labels.append(offpath_labels.get((u, w), 0))
     if 0 in labels:
         raise InvariantViolation("an off-path edge was never labeled")
 
@@ -300,8 +253,6 @@ def construct(c: Caterpillar, seed: int = 0) -> tuple[OrientedLabeling, Construc
         classes=classes,
         path_arc_directions=dirs,
         light_order=light_order,
-        heavy_phase1_assignments=phase1,
         heavy_order=heavy_order,
-        partial_weights=partial,
     )
     return ol, trace

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
 Edge = tuple[int, int]  # unordered pair, stored as (min, max)
@@ -48,7 +49,7 @@ class Tree:
         normalized = tuple(sorted(edge(u, v) for u, v in self.edges))
         object.__setattr__(self, "edges", normalized)
         if len(normalized) != self.n - 1:
-            raise InputError(f"tree on {self.n} vertices needs {self.n - 1} edges, got {len(normalized)}")
+            raise InputError(f"a tree on n={self.n} vertices needs {self.n - 1} edges, got {len(normalized)}")
         if len(set(normalized)) != len(normalized):
             raise InputError("parallel edges are not allowed")
         for u, v in normalized:
@@ -99,12 +100,6 @@ class Caterpillar:
     leaf_counts: tuple[int, ...]
     m: int  # edge count
     r: int  # leaf count
-
-    def leaves_at(self, spine_index: int) -> range:
-        """Vertex ids of the leaves attached to the given spine vertex."""
-        s = len(self.spine)
-        start = s + sum(self.leaf_counts[:spine_index])
-        return range(start, start + self.leaf_counts[spine_index])
 
 
 def parse_caterpillar(leaf_counts: list[int] | tuple[int, ...]) -> Caterpillar:
@@ -179,13 +174,23 @@ def is_caterpillar(t: Tree) -> Optional[Caterpillar]:
 
 @dataclass(frozen=True)
 class PathDecomposition:
-    """Even-length initial segment of a longest path, plus the leftover edges."""
+    """Even-length initial segment of a longest path, plus the leftover edges.
 
-    path: tuple[int, ...]            # u_0 .. u_k
-    k: int                           # number of path edges, always even
-    path_edges: tuple[Edge, ...]     # in path order
-    nonpath_edges: frozenset[Edge]
-    trimmed_tail: Optional[int]      # the dropped endpoint when m - r is odd
+    Every vertex off the path is a leaf of a path vertex, and in canonical
+    numbering the off-path leaves of u_i are consecutive ids:
+    `offpath_leaves[i]` (empty for the path's own leaves). Leaf ids exceed
+    spine ids, so (u_i, w) is already an Edge for each such leaf w.
+    """
+
+    path: tuple[int, ...]                # u_0 .. u_k
+    k: int                               # number of path edges, always even
+    path_edges: tuple[Edge, ...]         # in path order
+    offpath_leaves: tuple[range, ...]    # per path index
+    trimmed_tail: Optional[int]          # the dropped endpoint when m - r is odd
+
+    @property
+    def nonpath_edges(self) -> frozenset[Edge]:
+        return frozenset((u, w) for u, ws in zip(self.path, self.offpath_leaves) for w in ws)
 
 
 def longest_path_decomposition(c: Caterpillar) -> PathDecomposition:
@@ -196,24 +201,28 @@ def longest_path_decomposition(c: Caterpillar) -> PathDecomposition:
     non-path edge and the dropped endpoint is recorded as trimmed_tail.
     """
     s = len(c.spine)
-    if s == 1:
-        first, second = c.leaves_at(0)[0], c.leaves_at(0)[1]
-        full = (first, c.spine[0], second)
-    else:
-        full = (c.leaves_at(0)[0],) + c.spine + (c.leaves_at(s - 1)[0],)
+    bounds = tuple(accumulate(c.leaf_counts, initial=s))
+    leaves = [range(a, b) for a, b in zip(bounds, bounds[1:])]  # per spine vertex
+    # The end leaves are the first leaf of each end spine vertex, or the
+    # first two of a lone one.
+    full = (leaves[0][0], *c.spine, leaves[-1][s == 1])
     if len(full) - 1 != c.m - c.r + 2:
         raise InvariantViolation("longest path length disagrees with m - r + 2")
-    if (c.m - c.r) % 2 == 0:
-        k = c.m - c.r + 2
-        trimmed = None
-    else:
-        k = c.m - c.r + 1
-        trimmed = full[-1]
-    path = full[: k + 1]
-    path_edges = tuple(edge(path[i], path[i + 1]) for i in range(k))
-    nonpath = frozenset(c.tree.edges) - frozenset(path_edges)
+    trimmed = full[-1] if (c.m - c.r) % 2 else None
+    path = full if trimmed is None else full[:-1]
+    k = len(path) - 1
+    # u_i for 1 <= i <= s is spine vertex i-1; its off-path leaves are all
+    # but the ones the path takes.
+    leaves[0] = leaves[0][1:]
+    if trimmed is None:
+        leaves[-1] = leaves[-1][1:]
+        leaves.append(range(0))
     return PathDecomposition(
-        path=path, k=k, path_edges=path_edges, nonpath_edges=nonpath, trimmed_tail=trimmed
+        path=path,
+        k=k,
+        path_edges=tuple(edge(path[i], path[i + 1]) for i in range(k)),
+        offpath_leaves=(range(0), *leaves),
+        trimmed_tail=trimmed,
     )
 
 

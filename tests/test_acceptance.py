@@ -9,7 +9,7 @@ import random
 import pytest
 
 from antimagic.construction import compute_label_partition, construct
-from antimagic.generators import GeneratorConfig, enumerate_caterpillars, random_caterpillar
+from antimagic.generators import enumerate_caterpillars
 from antimagic.graph_core import OrientedLabeling
 from antimagic.oracle import (
     agreement_on_all_pairs,
@@ -19,18 +19,11 @@ from antimagic.oracle import (
 )
 from antimagic.verification import check_claims, check_weight_classes, verify_antimagic
 
+from conftest import random_instance
+
 RANDOM_INSTANCES = 10_000
 RANDOM_MAX_M = 1_000
 SAMPLED_PAIRS_PER_INSTANCE = 100_000
-
-
-def random_instance(master_seed: int, index: int, max_m: int):
-    rng = random.Random(hash((master_seed, index)))
-    target_m = rng.randint(2, max_m - 10)
-    s = rng.randint(1, max(1, target_m // 2))
-    budget = max(2, target_m - (s - 1))
-    cfg = GeneratorConfig(seed=0, spine_range=(s, s), leaf_budget=budget)
-    return random_caterpillar(cfg, rng=rng)
 
 
 @pytest.fixture(scope="module")

@@ -161,6 +161,58 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert "labels_not_bijection" in err
 
+    def test_non_tree_rejected(self, capsys, monkeypatch):
+        # a triangle on 0, 1, 2 plus the isolated vertex 3
+        doc = {
+            "n": 4,
+            "arcs": [
+                {"from": 0, "to": 1, "label": 1},
+                {"from": 1, "to": 2, "label": 2},
+                {"from": 2, "to": 0, "label": 3},
+            ],
+        }
+        code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "do not form a tree" in err
+
+    def test_self_loop_is_not_a_bijection_failure(self, capsys, monkeypatch):
+        doc = {
+            "n": 3,
+            "arcs": [
+                {"from": 0, "to": 0, "label": 1},
+                {"from": 1, "to": 2, "label": 2},
+            ],
+        }
+        code, _, err = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
+        assert code == EXIT_INPUT
+        assert "self-loop at vertex 0" in err
+        assert "labels_not_bijection" not in err
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("arcs", 0, "to"), 1.9),
+            (("arcs", 0, "from"), True),
+            (("arcs", 0, "label"), 2.5),
+            (("n",), 6.0),
+            (("sums", "0"), 7.0),
+            (("path", 0), 3.0),
+            (("k1",), 2.0),
+            (("k2",), True),
+        ],
+    )
+    def test_non_integer_rejected(self, capsys, monkeypatch, keys, value):
+        doc = self.construct_json(capsys, monkeypatch, "1 1 1\n")
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "expected an integer" in err
+
     def test_schema_violation(self, capsys, monkeypatch):
         code, _, _ = run(capsys, monkeypatch, ["verify", "-"], stdin="{\"arcs\": 3}")
         assert code == EXIT_INPUT
@@ -259,6 +311,24 @@ class TestOracle:
         monkeypatch.setenv("ANTIMAGIC_ORACLE_CAP", "3")
         code, _, _ = run(capsys, monkeypatch, ["oracle", "-"], stdin="1 0 0 1\n")
         assert code == EXIT_REFUSED
+
+
+@pytest.mark.parametrize(
+    "argv, env_cap",
+    [
+        (["oracle", "-"], "abc"),
+        (["oracle", "-", "--cap", "-1"], None),
+        (["stress", "--max-m", "1"], None),
+        (["stress", "--jobs", "0"], None),
+    ],
+)
+def test_bad_numeric_input(capsys, monkeypatch, argv, env_cap):
+    if env_cap is not None:
+        monkeypatch.setenv("ANTIMAGIC_ORACLE_CAP", env_cap)
+    code, out, err = run(capsys, monkeypatch, argv, stdin="2\n")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error:")
 
 
 class TestGen:

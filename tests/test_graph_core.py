@@ -147,6 +147,14 @@ class TestLongestPathDecomposition:
         assert c.tree.adjacency[d.path[0]] == (d.path[1],)  # u0 is a leaf
 
     @given(caterpillars())
+    def test_offpath_leaves_are_offpath_neighbors(self, c):
+        d = longest_path_decomposition(c)
+        assert len(d.offpath_leaves) == d.k + 1
+        on_path = set(d.path)
+        for v, leaves in zip(d.path, d.offpath_leaves):
+            assert list(leaves) == [w for w in c.tree.adjacency[v] if w not in on_path]
+
+    @given(caterpillars())
     def test_longest_path_matches_bfs_diameter(self, c):
         # independent double-BFS diameter oracle
         def far(start):
