@@ -2,7 +2,7 @@
 
 Exit code contract: 0 success, 1 verification failure, 2 input or schema
 error, 3 internal invariant violation (an implementation bug, never a legal
-input), 4 resource refusal (oracle cap).
+input), 4 resource refusal (oracle cap, input size cap).
 """
 
 from __future__ import annotations
@@ -13,8 +13,11 @@ import os
 import random
 import sys
 import time
+from collections.abc import Collection
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from . import oracle as oracle_mod
 from .construction import ConstructionTrace, construct
@@ -39,6 +42,13 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_REFUSED = 4
+
+# construct and oracle refuse an input line with more edges than this before
+# building its tree: at m = 10^6, construct --format json takes ~17 s of CPU
+# and ~1 GB of memory.
+MAX_EDGES = 2_000_000
+
+CLASS_NAMES = {c: c.value for c in VertexClass}
 
 
 @dataclass
@@ -74,21 +84,26 @@ def _read_instances(path: str | None) -> list[tuple[int, Caterpillar]]:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            out.append((lineno, parse_caterpillar(parse_leaf_counts(stripped))))
+            counts = parse_leaf_counts(stripped)
+            m = len(counts) - 1 + sum(counts)
+            if m > MAX_EDGES:
+                raise ResourceLimitError(f"line {lineno}: m={m} exceeds the input cap of {MAX_EDGES} edges")
+            out.append((lineno, parse_caterpillar(counts)))
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
     return out
 
 
 def labeling_to_json(ol: OrientedLabeling, trace: ConstructionTrace) -> dict:
+    sums, classes = oriented_sums(ol), trace.classes
     return {
         "n": ol.n,
         "arcs": [
             {"from": tail, "to": head, "label": lbl}
             for (tail, head), lbl in zip(ol.arcs, ol.labels)
         ],
-        "sums": {str(v): s for v, s in sorted(oriented_sums(ol).items())},
-        "classes": {str(v): cls.value for v, cls in sorted(trace.classes.items())},
+        "sums": {str(v): sums[v] for v in range(ol.n)},
+        "classes": {str(v): CLASS_NAMES[classes[v]] for v in range(ol.n)},
         "path": list(trace.decomposition.path),
         "k1": trace.partition.k1,
         "k2": trace.partition.k2,
@@ -113,7 +128,7 @@ def _render_tsv(ol: OrientedLabeling, trace: ConstructionTrace) -> str:
     sums = oriented_sums(ol)
     rows = [f"arc\t{tail}\t{head}\t{lbl}" for (tail, head), lbl in zip(ol.arcs, ol.labels)]
     rows += [f"sum\t{v}\t{sums[v]}" for v in range(ol.n)]
-    rows += [f"class\t{v}\t{trace.classes[v].value}" for v in range(ol.n)]
+    rows += [f"class\t{v}\t{CLASS_NAMES[trace.classes[v]]}" for v in range(ol.n)]
     return "\n".join(rows)
 
 
@@ -140,11 +155,20 @@ def _int(value: object) -> int:
     return value
 
 
+def _ints(values: Collection[object]) -> None:
+    """`_int` on every value, called only when some value is not an integer."""
+    if not set(map(type, values)) <= {int}:
+        for value in values:
+            _int(value)
+
+
 def _labeling_from_json(doc: dict) -> OrientedLabeling:
     try:
         n = _int(doc["n"])
-        arcs = tuple((_int(a["from"]), _int(a["to"])) for a in doc["arcs"])
-        labels = tuple(_int(a["label"]) for a in doc["arcs"])
+        arcs = tuple(map(itemgetter("from", "to"), doc["arcs"]))
+        _ints(list(chain.from_iterable(arcs)))
+        labels = tuple(map(itemgetter("label"), doc["arcs"]))
+        _ints(labels)
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad labeling JSON: {exc}") from exc
     try:
@@ -170,7 +194,8 @@ def _class_args_from_json(doc: dict, n: int) -> tuple | None:
     by_name = {c.value: c for c in VertexClass}
     try:
         classes = {int(v): by_name[c] for v, c in doc["classes"].items()}
-        path = [_int(v) for v in doc["path"]]
+        path = doc["path"]
+        _ints(path)
         k1, k2 = _int(doc["k1"]), _int(doc["k2"])
     except KeyError as exc:
         raise InputError(f"classes: unknown class {exc}") from exc
@@ -188,15 +213,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON: {exc}") from exc
+    del text  # not kept alive next to the document
     ol = _labeling_from_json(doc)
     class_args = _class_args_from_json(doc, ol.n)
     sums = oriented_sums(ol)
     violations = []
-    if not verify_antimagic(ol):
+    if len(set(sums.values())) != len(sums):
         violations.append("duplicate_sum")
     if "sums" in doc:
         try:
-            declared = {int(v): _int(s) for v, s in doc["sums"].items()}
+            declared = {int(v): s for v, s in doc["sums"].items()}
+            _ints(declared.values())
         except (AttributeError, TypeError, ValueError) as exc:
             raise InputError(f"bad sums: {exc}") from exc
         if declared != sums:
@@ -204,7 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if class_args is not None:
         violations += check_class_intervals(ol, sums, *class_args)[0]
     report = {
-        "sums": {str(v): s for v, s in sorted(sums.items())},
+        "sums": {str(v): sums[v] for v in range(ol.n)},
         "antimagic": "duplicate_sum" not in violations,
         "violations": violations,
     }
@@ -258,6 +285,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.random:
+        _at_least("--count", args.count, 0)
         rng = random.Random(args.seed)
         for _ in range(args.count):
             cfg = GeneratorConfig(
@@ -303,6 +331,7 @@ def _stress_one(task: tuple[int, int, int]) -> RunRecord:
 
 
 def cmd_stress(args: argparse.Namespace) -> int:
+    _at_least("--count", args.count, 0)
     _at_least("--max-m", args.max_m, 2)
     _at_least("--jobs", args.jobs, 1)
     tasks = [(i, args.seed, args.max_m) for i in range(args.count)]

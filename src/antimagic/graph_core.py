@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Optional
 
 Edge = tuple[int, int]  # unordered pair, stored as (min, max)
@@ -27,7 +27,7 @@ class InvariantViolation(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Refusal to run a search whose size exceeds the configured cap."""
+    """Refusal of work whose size exceeds a cap: the oracle's search or an input line."""
 
 
 def edge(u: int, v: int) -> Edge:
@@ -44,32 +44,29 @@ class Tree:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise InputError("tree must have at least one vertex")
-        normalized = tuple(sorted(edge(u, v) for u, v in self.edges))
+        # edge() is called only for a self-loop, to raise on the first one given.
+        normalized = tuple(sorted([(u, v) if u < v else (v, u) if v < u else edge(u, v) for u, v in self.edges]))
         object.__setattr__(self, "edges", normalized)
-        if len(normalized) != self.n - 1:
-            raise InputError(f"a tree on n={self.n} vertices needs {self.n - 1} edges, got {len(normalized)}")
+        if len(normalized) != n - 1:
+            raise InputError(f"a tree on n={n} vertices needs {n - 1} edges, got {len(normalized)}")
         if len(set(normalized)) != len(normalized):
             raise InputError("parallel edges are not allowed")
         for u, v in normalized:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge ({u},{v}) out of range for n={self.n}")
-        if not self._connected():
-            raise InputError("edge set is not connected")
-
-    def _connected(self) -> bool:
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            parent[find(u)] = find(v)
-        return len({find(v) for v in range(self.n)}) == 1
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge ({u},{v}) out of range for n={n}")
+        # n - 1 distinct edges on n vertices connect them iff none closes a cycle.
+        parent = list(range(n))
+        for u, v in normalized:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
+                raise InputError("edge set is not connected")
+            parent[v] = u
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -108,10 +105,10 @@ def parse_caterpillar(leaf_counts: list[int] | tuple[int, ...]) -> Caterpillar:
     Spine vertices are numbered 0..s-1 left to right; leaf i of spine vertex j
     gets the next id after all leaves of spine vertices < j.
     """
-    counts = tuple(int(c) for c in leaf_counts)
+    counts = tuple(map(int, leaf_counts))
     if not counts:
         raise InputError("empty leaf-count sequence")
-    if any(c < 0 for c in counts):
+    if min(counts) < 0:
         raise InputError("leaf counts must be nonnegative")
     s = len(counts)
     if s == 1:
@@ -120,20 +117,14 @@ def parse_caterpillar(leaf_counts: list[int] | tuple[int, ...]) -> Caterpillar:
     else:
         if counts[0] < 1 or counts[-1] < 1:
             raise InputError("non-canonical caterpillar: end spine vertices need at least 1 leaf")
-    edges: list[Edge] = [(i, i + 1) for i in range(s - 1)]
-    next_id = s
-    for i, c in enumerate(counts):
-        for _ in range(c):
-            edges.append(edge(i, next_id))
-            next_id += 1
-    tree = Tree(n=next_id, edges=tuple(edges))
-    return Caterpillar(
-        tree=tree,
-        spine=tuple(range(s)),
-        leaf_counts=counts,
-        m=tree.n - 1,
-        r=sum(counts),
-    )
+    r = sum(counts)
+    n = s + r
+    spine_edges = zip(range(s - 1), range(1, s))
+    # Leaf ids s..n-1 in order, each with its spine vertex, whose id is lower:
+    # every pair is already an Edge.
+    leaf_edges = zip(chain.from_iterable(map(repeat, range(s), counts)), range(s, n))
+    tree = Tree(n=n, edges=tuple(chain(spine_edges, leaf_edges)))
+    return Caterpillar(tree=tree, spine=tuple(range(s)), leaf_counts=counts, m=n - 1, r=r)
 
 
 def is_caterpillar(t: Tree) -> Optional[Caterpillar]:
@@ -268,7 +259,8 @@ class OrientedLabeling:
             raise InputError("one label per arc required")
         if sorted(self.labels) != list(range(1, m + 1)):
             raise InputError("labels are not a bijection onto [1, m]")
-        pairs = {edge(u, v) for u, v in self.arcs}
+        # edge() is called only for a self-loop, to raise on the first one given.
+        pairs = {(u, v) if u < v else (v, u) if v < u else edge(u, v) for u, v in self.arcs}
         if len(pairs) != m:
             raise InputError("arcs contain a repeated vertex pair")
         for u, v in self.arcs:

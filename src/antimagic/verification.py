@@ -15,7 +15,6 @@ from .graph_core import (
     Caterpillar,
     OrientedLabeling,
     VertexClass,
-    edge,
 )
 
 
@@ -32,19 +31,24 @@ class VerificationReport:
         return self.antimagic and not self.violations
 
 
-def oriented_sums(ol: OrientedLabeling) -> dict[int, int]:
-    """Per-vertex sum of entering labels minus leaving labels."""
-    sums = {v: 0 for v in range(ol.n)}
+def _vertex_sums(ol: OrientedLabeling) -> list[int]:
+    """Entering minus leaving labels, indexed by vertex."""
+    sums = [0] * ol.n
     for (tail, head), lbl in zip(ol.arcs, ol.labels):
         sums[head] += lbl
         sums[tail] -= lbl
     return sums
 
 
+def oriented_sums(ol: OrientedLabeling) -> dict[int, int]:
+    """Per-vertex sum of entering labels minus leaving labels."""
+    return dict(enumerate(_vertex_sums(ol)))
+
+
 def verify_antimagic(ol: OrientedLabeling) -> bool:
     """True iff all oriented vertex sums are pairwise distinct."""
-    values = sorted(oriented_sums(ol).values())
-    return all(a != b for a, b in zip(values, values[1:]))
+    sums = _vertex_sums(ol)
+    return len(set(sums)) == len(sums)
 
 
 def _check_distinct(values: list[int], name: str, violations: list[str]) -> None:
@@ -69,24 +73,26 @@ def check_class_intervals(
     path-end leaf. The observed ranges must not overlap and all weights must
     be pairwise distinct.
     """
+    light, heavy, leaf = VertexClass.LIGHT, VertexClass.HEAVY, VertexClass.NON_PATH_LEAF
+    leaves = {v for v, c in classes.items() if c is leaf}
+    next_to_leaf = {t for t, h in ol.arcs if h in leaves}
+    next_to_leaf.update(h for t, h in ol.arcs if t in leaves)
+    del leaves  # not kept alive next to the weights
     weights = {v: abs(s) for v, s in sums.items()}
     m = ol.m
-    leaf = VertexClass.NON_PATH_LEAF
-    next_to_leaf = {t for t, h in ol.arcs if classes.get(h) is leaf}
-    next_to_leaf.update(h for t, h in ol.arcs if classes.get(t) is leaf)
     bounds = {
         "light": (0, k1 - 1),
         "degree_one": (k1, k2 + 1),
         "heavy_no_heavy_edge": (k2 + 2, m + k1),
         "heavy_with_heavy_edge": (m + k1 + 1, None),
     }
-    groups: dict[str, list[int]] = {name: [] for name in bounds}
-    for v, c in classes.items():
-        if c is VertexClass.HEAVY:
-            name = "heavy_with_heavy_edge" if v in next_to_leaf else "heavy_no_heavy_edge"
-        else:
-            name = "light" if c is VertexClass.LIGHT else "degree_one"
-        groups[name].append(weights[v])
+    items = classes.items()
+    groups = {
+        "light": [weights[v] for v, c in items if c is light],
+        "degree_one": [weights[v] for v, c in items if c is not light and c is not heavy],
+        "heavy_no_heavy_edge": [weights[v] for v, c in items if c is heavy and v not in next_to_leaf],
+        "heavy_with_heavy_edge": [weights[v] for v, c in items if c is heavy and v in next_to_leaf],
+    }
 
     violations: list[str] = []
     ranges: dict[str, tuple[int, int]] = {}
@@ -102,7 +108,7 @@ def check_class_intervals(
     plain = [
         weights[v]
         for v in path
-        if classes.get(v) is VertexClass.HEAVY and v not in next_to_leaf
+        if classes.get(v) is heavy and v not in next_to_leaf
     ]
     if any(a <= b for a, b in zip(plain, plain[1:])):
         violations.append("heavy_no_heavy_edge_not_decreasing")
@@ -131,7 +137,7 @@ def check_weight_classes(ol: OrientedLabeling, trace: ConstructionTrace) -> Veri
         sums=sums,
         weights={v: abs(s) for v, s in sums.items()},
         class_ranges=ranges,
-        antimagic=verify_antimagic(ol),
+        antimagic=len(set(sums.values())) == len(sums),
         violations=violations,
     )
 
@@ -152,10 +158,10 @@ def check_claims(
     d = trace.decomposition
     claim1 = p.k1 + p.k2 == c.m
 
-    path_edge_set = set(d.path_edges)
+    path_arcs = {*d.path_edges, *((v, u) for u, v in d.path_edges)}  # both orientations
     path_sums: dict[int, int] = {v: 0 for v in d.path}
     for (tail, head), lbl in zip(ol.arcs, ol.labels):
-        if edge(tail, head) in path_edge_set:
+        if (tail, head) in path_arcs:
             path_sums[head] += lbl
             path_sums[tail] -= lbl
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from antimagic import cli
 from antimagic.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -15,7 +16,7 @@ from antimagic.cli import (
 )
 from antimagic.construction import construct
 from antimagic.graph_core import OrientedLabeling
-from antimagic.verification import check_weight_classes
+from antimagic.verification import check_weight_classes, verify_antimagic
 
 from conftest import caterpillars
 
@@ -96,6 +97,22 @@ class TestConstruct:
             assert code == EXIT_INPUT
             assert out == ""
             assert "cannot read" in err
+
+    @pytest.mark.parametrize("command", ["construct", "oracle"])
+    def test_size_cap_refuses_before_building(self, capsys, monkeypatch, command):
+        # m = 2 + 10^8 + 2: refused from the leaf counts alone, before any tree is built
+        code, out, err = run(capsys, monkeypatch, [command, "-"], stdin="2\n1 100000000 1\n")
+        assert code == EXIT_REFUSED
+        assert out == ""
+        assert err.startswith("refused: line 2: m=100000004")
+
+    def test_size_cap_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_EDGES", 5)
+        code, _, _ = run(capsys, monkeypatch, ["construct", "-"], stdin="1 1 1\n")  # m = 5
+        assert code == EXIT_OK
+        code, _, err = run(capsys, monkeypatch, ["construct", "-"], stdin="1 2 1\n")  # m = 6
+        assert code == EXIT_REFUSED
+        assert "m=6 exceeds" in err
 
     def test_file_input(self, capsys, monkeypatch, tmp_path):
         f = tmp_path / "input.txt"
@@ -278,8 +295,13 @@ class TestVerify:
         code, out, _ = run(capsys, monkeypatch, ["verify", "-"], stdin=stdin)
         violations = json.loads(out)["violations"]
         assert code == (EXIT_VERIFY_FAIL if violations else EXIT_OK)
+        report = check_weight_classes(ol, trace)
         shared = [v for v in violations if v not in ("duplicate_sum", "declared_sums_mismatch")]
-        assert shared == check_weight_classes(ol, trace).violations
+        assert shared == report.violations
+        # three readers of the same sums: verify's report, the library report, verify_antimagic
+        antimagic = verify_antimagic(ol)
+        assert ("duplicate_sum" not in violations) == json.loads(out)["antimagic"] == antimagic
+        assert report.antimagic == antimagic
 
     @settings(reuses_fixtures, max_examples=300)
     @given(st.one_of(json_values.map(json.dumps), corrupted_documents().map(json.dumps), st.text()))
@@ -320,6 +342,8 @@ class TestOracle:
         (["oracle", "-", "--cap", "-1"], None),
         (["stress", "--max-m", "1"], None),
         (["stress", "--jobs", "0"], None),
+        (["stress", "--count", "-1"], None),
+        (["gen", "--random", "--count", "-1"], None),
     ],
 )
 def test_bad_numeric_input(capsys, monkeypatch, argv, env_cap):

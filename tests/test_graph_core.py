@@ -3,6 +3,7 @@ from hypothesis import given
 
 from antimagic.graph_core import (
     InputError,
+    OrientedLabeling,
     Tree,
     degree,
     format_leaf_counts,
@@ -41,6 +42,63 @@ class TestTree:
     def test_rejects_wrong_edge_count(self):
         with pytest.raises(InputError):
             Tree(n=3, edges=((0, 1),))
+
+    def test_normalizes_and_sorts_edges(self):
+        assert Tree(n=4, edges=((3, 1), (1, 0), (2, 0))).edges == ((0, 1), (0, 2), (1, 3))
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (0, (), "tree must have at least one vertex"),
+            (3, ((0, 0), (1, 2)), "self-loop at vertex 0"),
+            (4, ((0, 1), (2, 2), (1, 1)), "self-loop at vertex 2"),  # the first one given
+            (5, ((3, 3),), "self-loop at vertex 3"),  # before the edge count
+            (3, ((0, 1),), "a tree on n=3 vertices needs 2 edges, got 1"),
+            (3, ((0, 1), (1, 2), (0, 2)), "a tree on n=3 vertices needs 2 edges, got 3"),
+            (3, ((0, 1), (1, 0)), "parallel edges are not allowed"),
+            (3, ((0, 5), (5, 0)), "parallel edges are not allowed"),  # before the range
+            (3, ((-1, 0), (0, 1)), r"edge \(-1,0\) out of range for n=3"),
+            (3, ((0, 1), (3, 1)), r"edge \(1,3\) out of range for n=3"),
+            (4, ((1, 9), (0, -1), (0, 1)), r"edge \(-1,0\) out of range for n=4"),  # first in sorted order
+            (4, ((0, 1), (1, 2), (0, 2)), "edge set is not connected"),  # a triangle and vertex 3
+            (6, ((0, 1), (2, 3), (3, 4), (2, 4), (1, 5)), "edge set is not connected"),
+        ],
+    )
+    def test_rejection_messages(self, n, edges, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            Tree(n=n, edges=edges)
+
+    def test_single_vertex(self):
+        assert Tree(n=1, edges=()).edges == ()
+
+
+class TestOrientedLabeling:
+    def test_accepts_any_orientation(self):
+        ol = OrientedLabeling(n=3, arcs=((1, 0), (1, 2)), labels=(2, 1))
+        assert ol.m == 2
+        assert ol.undirected_edges() == frozenset({(0, 1), (1, 2)})
+
+    @pytest.mark.parametrize(
+        "n, arcs, labels, message",
+        [
+            (3, ((0, 1), (1, 2)), (1,), "one label per arc required"),
+            (3, ((0, 1), (1, 2)), (1, 1), r"labels are not a bijection onto \[1, m\]"),
+            (3, ((0, 1), (1, 2)), (0, 1), r"labels are not a bijection onto \[1, m\]"),
+            (3, ((0, 1), (1, 2)), (1, 3), r"labels are not a bijection onto \[1, m\]"),
+            (3, ((0, 0), (0, 0)), (1, 1), r"labels are not a bijection onto \[1, m\]"),  # labels first
+            (3, ((0, 0), (1, 2)), (1, 2), "self-loop at vertex 0"),
+            (4, ((0, 1), (1, 0), (2, 2)), (1, 2, 3), "self-loop at vertex 2"),  # before a repeated pair
+            (3, ((0, 1), (1, 0)), (1, 2), "arcs contain a repeated vertex pair"),
+            (3, ((0, 1), (0, 1)), (2, 1), "arcs contain a repeated vertex pair"),
+            (3, ((0, 1), (1, 0), (5, 6)), (1, 2, 3), "arcs contain a repeated vertex pair"),  # before the range
+            (3, ((-1, 0), (0, 1)), (1, 2), r"arc \(-1,0\) out of range for n=3"),
+            (3, ((0, 1), (3, 2)), (1, 2), r"arc \(3,2\) out of range for n=3"),
+            (3, ((0, 1), (1, 3), (-2, 0)), (1, 2, 3), r"arc \(1,3\) out of range for n=3"),  # first in order
+        ],
+    )
+    def test_rejection_messages(self, n, arcs, labels, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            OrientedLabeling(n=n, arcs=arcs, labels=labels)
 
 
 class TestDegreeAndLeaves:
