@@ -43,9 +43,11 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_REFUSED = 4
 
-# construct and oracle refuse an input line with more edges than this before
-# building its tree: at m = 10^6, construct --format json takes ~17 s of CPU
-# and ~1 GB of memory.
+# construct and oracle refuse an input line with more edges than this, stress
+# a --max-m above it, gen --random a largest m above it. At m = 10^6 (spine
+# m/3; Python 3.11, 2 vCPUs, stdout to a file), construct --format json takes
+# ~18 s of CPU and peaks at ~850 MB resident, and verify of its output ~13 s
+# and ~670 MB.
 MAX_EDGES = 2_000_000
 
 CLASS_NAMES = {c: c.value for c in VertexClass}
@@ -77,6 +79,12 @@ def _read_text(path: str | None) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _within_cap(name: str, m: int) -> None:
+    """Refuse work that can reach m edges when m exceeds MAX_EDGES."""
+    if m > MAX_EDGES:
+        raise ResourceLimitError(f"{name}={m} exceeds the input cap of {MAX_EDGES} edges")
+
+
 def _read_instances(path: str | None) -> list[tuple[int, Caterpillar]]:
     out = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
@@ -85,9 +93,7 @@ def _read_instances(path: str | None) -> list[tuple[int, Caterpillar]]:
             continue
         try:
             counts = parse_leaf_counts(stripped)
-            m = len(counts) - 1 + sum(counts)
-            if m > MAX_EDGES:
-                raise ResourceLimitError(f"line {lineno}: m={m} exceeds the input cap of {MAX_EDGES} edges")
+            _within_cap(f"line {lineno}: m", len(counts) - 1 + sum(counts))
             out.append((lineno, parse_caterpillar(counts)))
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
@@ -137,10 +143,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
     all_ok = True
     for _, c in instances:
         ol, trace = construct(c, seed=args.seed)
-        ok = verify_antimagic(ol)
-        all_ok &= ok
+        all_ok &= verify_antimagic(ol)
         if args.format == "json":
-            print(json.dumps(labeling_to_json(ol, trace)))
+            doc = labeling_to_json(ol, trace)
+            del ol, trace  # not kept alive while the document is encoded
+            print(json.dumps(doc))
         elif args.format == "dot":
             print(_render_dot(ol, trace))
         else:
@@ -162,15 +169,26 @@ def _ints(values: Collection[object]) -> None:
             _int(value)
 
 
+def _vertex(key: str) -> int:
+    """A vertex key of `sums` or `classes`: canonical decimal only, so no two keys name one vertex."""
+    v = int(key)
+    if str(v) != key:
+        raise ValueError(f"vertex key {key!r} is not a canonical decimal")
+    return v
+
+
 def _labeling_from_json(doc: dict) -> OrientedLabeling:
+    """The labeling in doc; takes doc's arcs out of it, so they are not kept alive through validation."""
     try:
         n = _int(doc["n"])
-        arcs = tuple(map(itemgetter("from", "to"), doc["arcs"]))
+        raw = doc.pop("arcs")
+        arcs = tuple(map(itemgetter("from", "to"), raw))
         _ints(list(chain.from_iterable(arcs)))
-        labels = tuple(map(itemgetter("label"), doc["arcs"]))
+        labels = tuple(map(itemgetter("label"), raw))
         _ints(labels)
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad labeling JSON: {exc}") from exc
+    del raw
     try:
         Tree(n, arcs)
     except InputError as exc:
@@ -193,7 +211,7 @@ def _class_args_from_json(doc: dict, n: int) -> tuple | None:
         raise InputError("classes must be an object and path a non-empty list")
     by_name = {c.value: c for c in VertexClass}
     try:
-        classes = {int(v): by_name[c] for v, c in doc["classes"].items()}
+        classes = {_vertex(v): by_name[c] for v, c in doc["classes"].items()}
         path = doc["path"]
         _ints(path)
         k1, k2 = _int(doc["k1"]), _int(doc["k2"])
@@ -214,24 +232,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON: {exc}") from exc
     del text  # not kept alive next to the document
+    # Each part of the document is dropped once read: arcs, classes, sums.
     ol = _labeling_from_json(doc)
     class_args = _class_args_from_json(doc, ol.n)
+    doc.pop("classes", None)
     sums = oriented_sums(ol)
     violations = []
     if len(set(sums.values())) != len(sums):
         violations.append("duplicate_sum")
     if "sums" in doc:
         try:
-            declared = {int(v): s for v, s in doc["sums"].items()}
+            declared = {_vertex(v): s for v, s in doc.pop("sums").items()}
             _ints(declared.values())
         except (AttributeError, TypeError, ValueError) as exc:
             raise InputError(f"bad sums: {exc}") from exc
         if declared != sums:
             violations.append("declared_sums_mismatch")
+        del declared
     if class_args is not None:
         violations += check_class_intervals(ol, sums, *class_args)[0]
+    del ol, class_args  # the report needs only the sums
     report = {
-        "sums": {str(v): sums[v] for v in range(ol.n)},
+        "sums": {str(v): sums[v] for v in range(len(sums))},
         "antimagic": "duplicate_sum" not in violations,
         "violations": violations,
     }
@@ -286,6 +308,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.random:
         _at_least("--count", args.count, 0)
+        # the largest m: the end-count bump adds up to two leaves to the budget
+        _within_cap("--spine-max + --leaf-budget + 1", args.spine_max + args.leaf_budget + 1)
         rng = random.Random(args.seed)
         for _ in range(args.count):
             cfg = GeneratorConfig(
@@ -334,6 +358,7 @@ def cmd_stress(args: argparse.Namespace) -> int:
     _at_least("--count", args.count, 0)
     _at_least("--max-m", args.max_m, 2)
     _at_least("--jobs", args.jobs, 1)
+    _within_cap("--max-m", args.max_m)
     tasks = [(i, args.seed, args.max_m) for i in range(args.count)]
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:

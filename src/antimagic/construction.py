@@ -246,7 +246,7 @@ def construct(c: Caterpillar, seed: int = 0) -> tuple[OrientedLabeling, Construc
     if 0 in labels:
         raise InvariantViolation("an off-path edge was never labeled")
 
-    ol = OrientedLabeling(n=c.tree.n, arcs=tuple(arcs), labels=tuple(labels))
+    ol = OrientedLabeling(n=c.m + 1, arcs=tuple(arcs), labels=tuple(labels))
     trace = ConstructionTrace(
         partition=p,
         decomposition=d,

@@ -90,20 +90,36 @@ def leaves(t: Tree) -> set[int]:
 
 @dataclass(frozen=True)
 class Caterpillar:
-    """Canonical caterpillar: spine vertices 0..s-1, then leaves in spine order."""
+    """Canonical caterpillar: spine vertices 0..s-1, then leaves in spine order.
 
-    tree: Tree
+    Only `parse_caterpillar` makes one. The construction and its checks need
+    the leaf counts alone, so the tree is built, and validated in full by
+    `Tree`, on first read.
+    """
+
     spine: tuple[int, ...]
     leaf_counts: tuple[int, ...]
     m: int  # edge count
     r: int  # leaf count
 
+    @cached_property
+    def tree(self) -> Tree:
+        """The caterpillar as a `Tree` in canonical numbering."""
+        s, n = len(self.spine), self.m + 1
+        spine_edges = zip(range(s - 1), range(1, s))
+        # Leaf ids s..n-1 in order, each with its spine vertex, whose id is lower:
+        # every pair is already an Edge.
+        leaf_edges = zip(chain.from_iterable(map(repeat, range(s), self.leaf_counts)), range(s, n))
+        return Tree(n=n, edges=tuple(chain(spine_edges, leaf_edges)))
+
 
 def parse_caterpillar(leaf_counts: list[int] | tuple[int, ...]) -> Caterpillar:
-    """Build the canonical caterpillar for a leaf-count sequence.
+    """The canonical caterpillar for a leaf-count sequence, its tree not yet built.
 
     Spine vertices are numbered 0..s-1 left to right; leaf i of spine vertex j
-    gets the next id after all leaves of spine vertices < j.
+    gets the next id after all leaves of spine vertices < j. Counts that pass
+    the checks here always give a tree (a spine path with leaves hung on it),
+    so building `Caterpillar.tree` later cannot fail.
     """
     counts = tuple(map(int, leaf_counts))
     if not counts:
@@ -118,13 +134,7 @@ def parse_caterpillar(leaf_counts: list[int] | tuple[int, ...]) -> Caterpillar:
         if counts[0] < 1 or counts[-1] < 1:
             raise InputError("non-canonical caterpillar: end spine vertices need at least 1 leaf")
     r = sum(counts)
-    n = s + r
-    spine_edges = zip(range(s - 1), range(1, s))
-    # Leaf ids s..n-1 in order, each with its spine vertex, whose id is lower:
-    # every pair is already an Edge.
-    leaf_edges = zip(chain.from_iterable(map(repeat, range(s), counts)), range(s, n))
-    tree = Tree(n=n, edges=tuple(chain(spine_edges, leaf_edges)))
-    return Caterpillar(tree=tree, spine=tuple(range(s)), leaf_counts=counts, m=n - 1, r=r)
+    return Caterpillar(spine=tuple(range(s)), leaf_counts=counts, m=s - 1 + r, r=r)
 
 
 def is_caterpillar(t: Tree) -> Optional[Caterpillar]:

@@ -73,12 +73,23 @@ def check_class_intervals(
     path-end leaf. The observed ranges must not overlap and all weights must
     be pairwise distinct.
     """
+    return _check_weights(ol, {v: abs(s) for v, s in sums.items()}, classes, path, k1, k2)
+
+
+def _check_weights(
+    ol: OrientedLabeling,
+    weights: dict[int, int],
+    classes: Mapping[int, VertexClass],
+    path: Sequence[int],
+    k1: int,
+    k2: int,
+) -> tuple[list[str], dict[str, tuple[int, int]]]:
+    """`check_class_intervals` on weights already taken from the sums."""
     light, heavy, leaf = VertexClass.LIGHT, VertexClass.HEAVY, VertexClass.NON_PATH_LEAF
     leaves = {v for v, c in classes.items() if c is leaf}
     next_to_leaf = {t for t, h in ol.arcs if h in leaves}
     next_to_leaf.update(h for t, h in ol.arcs if t in leaves)
-    del leaves  # not kept alive next to the weights
-    weights = {v: abs(s) for v, s in sums.items()}
+    del leaves  # not kept alive next to the groups
     m = ol.m
     bounds = {
         "light": (0, k1 - 1),
@@ -129,13 +140,14 @@ def check_class_intervals(
 def check_weight_classes(ol: OrientedLabeling, trace: ConstructionTrace) -> VerificationReport:
     """`check_class_intervals` on the classes and path the construction recorded."""
     sums = oriented_sums(ol)
+    weights = {v: abs(s) for v, s in sums.items()}
     p = trace.partition
-    violations, ranges = check_class_intervals(
-        ol, sums, trace.classes, trace.decomposition.path, p.k1, p.k2
+    violations, ranges = _check_weights(
+        ol, weights, trace.classes, trace.decomposition.path, p.k1, p.k2
     )
     return VerificationReport(
         sums=sums,
-        weights={v: abs(s) for v, s in sums.items()},
+        weights=weights,
         class_ranges=ranges,
         antimagic=len(set(sums.values())) == len(sums),
         violations=violations,

@@ -1,5 +1,8 @@
+import contextlib
 import io
 import json
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,8 +18,9 @@ from antimagic.cli import (
     main,
 )
 from antimagic.construction import construct
-from antimagic.graph_core import OrientedLabeling
-from antimagic.verification import check_weight_classes, verify_antimagic
+from antimagic.generators import GeneratorConfig, random_caterpillar
+from antimagic.graph_core import Caterpillar, OrientedLabeling, format_leaf_counts, parse_leaf_counts
+from antimagic.verification import check_claims, check_weight_classes, verify_antimagic
 
 from conftest import caterpillars
 
@@ -48,6 +52,11 @@ def corrupted_documents(draw):
     else:
         target[key] = draw(st.integers(-1, 12) | st.sampled_from(CLASS_NAMES) | json_values)
     return doc
+
+
+def aliased(part, key):
+    """A patch: `part` keeps its entries and gains `key`, another spelling of one of its vertices."""
+    return {part: lambda doc: {**doc[part], key: doc[part][str(int(key))]}}
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -263,11 +272,16 @@ class TestVerify:
             ({"k1": float("inf")}, "k1"),
             ({"n": 5, "arcs": []}, "n=5"),
             ({"n": 10**12}, "n="),
+            *(
+                (aliased(part, key), "canonical")
+                for part in ("sums", "classes")
+                for key in ("0_0", " 1", "+1", "01")
+            ),
         ],
     )
     def test_malformed_document(self, capsys, monkeypatch, patch, message):
         doc = self.construct_json(capsys, monkeypatch, "1 1 1\n")
-        doc.update(patch)
+        doc.update({key: value(doc) if callable(value) else value for key, value in patch.items()})
         doc = {key: value for key, value in doc.items() if value is not None}
         code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
         assert code == EXIT_INPUT
@@ -353,6 +367,77 @@ def test_bad_numeric_input(capsys, monkeypatch, argv, env_cap):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("input error:")
+
+
+def test_generation_caps(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_EDGES", 5)
+    stress = ["stress", "--count", "3"]
+    assert run(capsys, monkeypatch, stress + ["--max-m", "5"])[0] == EXIT_OK
+    code, out, err = run(capsys, monkeypatch, stress + ["--max-m", "6"])
+    assert (code, out) == (EXIT_REFUSED, "")
+    assert "--max-m=6 exceeds" in err
+    gen = ["gen", "--random", "--count", "20", "--spine-max", "2"]
+    code, out, _ = run(capsys, monkeypatch, gen + ["--leaf-budget", "2"])  # m <= 2 + 2 + 1
+    assert code == EXIT_OK
+    assert max(len(counts) - 1 + sum(counts) for counts in map(parse_leaf_counts, out.splitlines())) <= 5
+    code, out, err = run(capsys, monkeypatch, gen + ["--leaf-budget", "3"])
+    assert (code, out) == (EXIT_REFUSED, "")
+    assert "=6 exceeds" in err
+
+
+class TestTreeNotBuilt:
+    """The construction, its checks and the JSON document need only the leaf counts."""
+
+    @given(caterpillars(), st.integers(0, 3))
+    def test_library(self, c, seed):
+        ol, trace = construct(c, seed=seed)
+        check_weight_classes(ol, trace)
+        check_claims(c, ol, trace)
+        labeling_to_json(ol, trace)
+        assert "tree" not in c.__dict__
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["construct", "-", "--format", fmt] for fmt in ("json", "tsv", "dot")]
+        + [["stress", "--count", "30", "--max-m", "60"]],
+    )
+    def test_cli(self, capsys, monkeypatch, argv):
+        def unbuilt(c):
+            raise AssertionError("Caterpillar.tree was read")
+
+        monkeypatch.setattr(Caterpillar, "tree", property(unbuilt))
+        assert run(capsys, monkeypatch, argv, stdin="1 0 2\n3\n2 1 1 4\n")[0] == EXIT_OK
+
+
+class TestMemory:
+    """Peak traced memory per edge at m = 20,000 (spine m/3), output held in memory."""
+
+    M = 20_000
+
+    def peak_per_edge(self, monkeypatch, argv, stdin):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        return peak / self.M, out.getvalue()
+
+    def test_construct_and_verify(self, monkeypatch):
+        spine = self.M // 3
+        cfg = GeneratorConfig(spine_range=(spine, spine), leaf_budget=self.M - (spine - 1))
+        c = random_caterpillar(cfg, rng=random.Random(5))
+        assert abs(c.m - self.M) <= 2
+        construct_peak, doc = self.peak_per_edge(
+            monkeypatch, ["construct", "-", "--format", "json"], format_leaf_counts(c)
+        )
+        verify_peak, _ = self.peak_per_edge(monkeypatch, ["verify", "-"], doc)
+        assert construct_peak < 850
+        assert verify_peak < 700
 
 
 class TestGen:

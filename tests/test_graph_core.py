@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from antimagic.graph_core import (
     InputError,
@@ -148,6 +148,26 @@ class TestParseCaterpillar:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             parse_caterpillar([])
+
+    @given(caterpillars().map(lambda c: c.leaf_counts))
+    @example((2,))
+    @example((5,))
+    @example((1, 1))
+    def test_tree_built_on_first_read(self, counts):
+        # Reference edges: the spine path, then each spine vertex's leaves,
+        # numbered on from s in spine order.
+        s = len(counts)
+        edges = [(i, i + 1) for i in range(s - 1)]
+        leaf = s
+        for j, count in enumerate(counts):
+            for _ in range(count):
+                edges.append((j, leaf))
+                leaf += 1
+        c = parse_caterpillar(counts)
+        assert "tree" not in c.__dict__
+        assert c.tree == Tree(n=leaf, edges=tuple(edges))
+        assert c.tree is c.tree
+        assert c.tree.n == c.m + 1
 
 
 class TestIsCaterpillar:
