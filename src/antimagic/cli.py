@@ -13,6 +13,8 @@ import os
 import random
 import sys
 import time
+import traceback
+from collections import Counter
 from collections.abc import Collection
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -49,6 +51,12 @@ EXIT_REFUSED = 4
 # ~18 s of CPU and peaks at ~850 MB resident, and verify of its output ~13 s
 # and ~670 MB.
 MAX_EDGES = 2_000_000
+
+# gen refuses a --max-n above this. There are 2^(n-4) + 2^((n-4)//2)
+# caterpillars of order n, so up to order 24 gen prints about 2.1 million
+# lines: ~40 s at the ~19 us a line it takes up to order 20 (Python 3.11,
+# 2 vCPUs).
+MAX_ORDER = 24
 
 CLASS_NAMES = {c: c.value for c in VertexClass}
 
@@ -108,7 +116,7 @@ def labeling_to_json(ol: OrientedLabeling, trace: ConstructionTrace) -> dict:
             {"from": tail, "to": head, "label": lbl}
             for (tail, head), lbl in zip(ol.arcs, ol.labels)
         ],
-        "sums": {str(v): sums[v] for v in range(ol.n)},
+        "sums": {str(v): s for v, s in enumerate(sums)},
         "classes": {str(v): CLASS_NAMES[classes[v]] for v in range(ol.n)},
         "path": list(trace.decomposition.path),
         "k1": trace.partition.k1,
@@ -177,6 +185,15 @@ def _vertex(key: str) -> int:
     return v
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; InputError if a key repeats, since the last one would silently win."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise InputError(f"duplicate key {key!r}")
+    return obj
+
+
 def _labeling_from_json(doc: dict) -> OrientedLabeling:
     """The labeling in doc; takes doc's arcs out of it, so they are not kept alive through validation."""
     try:
@@ -228,7 +245,7 @@ def _class_args_from_json(doc: dict, n: int) -> tuple | None:
 def cmd_verify(args: argparse.Namespace) -> int:
     text = _read_text(args.input)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON: {exc}") from exc
     del text  # not kept alive next to the document
@@ -237,26 +254,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     class_args = _class_args_from_json(doc, ol.n)
     doc.pop("classes", None)
     sums = oriented_sums(ol)
+    keyed = {str(v): s for v, s in enumerate(sums)}  # as the report and a constructed document have them
     violations = []
-    if len(set(sums.values())) != len(sums):
+    if len(set(sums)) != len(sums):
         violations.append("duplicate_sum")
     if "sums" in doc:
+        declared = doc.pop("sums")
         try:
-            declared = {_vertex(v): s for v, s in doc.pop("sums").items()}
             _ints(declared.values())
+            if declared != keyed:
+                for key in declared:  # a key that is not canonical is an input error, not a mismatch
+                    _vertex(key)
+                violations.append("declared_sums_mismatch")
         except (AttributeError, TypeError, ValueError) as exc:
             raise InputError(f"bad sums: {exc}") from exc
-        if declared != sums:
-            violations.append("declared_sums_mismatch")
         del declared
     if class_args is not None:
         violations += check_class_intervals(ol, sums, *class_args)[0]
-    del ol, class_args  # the report needs only the sums
-    report = {
-        "sums": {str(v): sums[v] for v in range(len(sums))},
-        "antimagic": "duplicate_sum" not in violations,
-        "violations": violations,
-    }
+    del ol, class_args, sums  # the report needs only the keyed sums
+    report = {"sums": keyed, "antimagic": "duplicate_sum" not in violations, "violations": violations}
     print(json.dumps(report))
     return EXIT_OK if not violations else EXIT_VERIFY_FAIL
 
@@ -284,8 +300,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     instances = _read_instances(args.input)
     all_found = True
     for _, c in instances:
-        count_all = True if args.count_all else None
-        res = oracle_mod.exhaustive_search(c.tree, cap=cap, count_all=count_all)
+        res = oracle_mod.exhaustive_search(c.tree, cap=cap, count_all=args.count_all)
         found = res.witness is not None
         all_found &= found
         doc = {
@@ -311,14 +326,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
         # the largest m: the end-count bump adds up to two leaves to the budget
         _within_cap("--spine-max + --leaf-budget + 1", args.spine_max + args.leaf_budget + 1)
         rng = random.Random(args.seed)
+        cfg = GeneratorConfig(spine_range=(args.spine_min, args.spine_max), leaf_budget=args.leaf_budget)
         for _ in range(args.count):
-            cfg = GeneratorConfig(
-                seed=args.seed,
-                spine_range=(args.spine_min, args.spine_max),
-                leaf_budget=args.leaf_budget,
-            )
-            print(format_leaf_counts(random_caterpillar(cfg, rng=rng)))
+            print(format_leaf_counts(random_caterpillar(cfg, rng)))
     else:
+        if args.max_n > MAX_ORDER:
+            raise ResourceLimitError(f"--max-n={args.max_n} exceeds the order cap of {MAX_ORDER}")
         for c in enumerate_caterpillars(args.max_n):
             print(format_leaf_counts(c))
     return EXIT_OK
@@ -327,11 +340,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _stress_one(task: tuple[int, int, int]) -> RunRecord:
     index, master_seed, max_m = task
     rng = random.Random(hash((master_seed, index)))
-    target_m = rng.randint(2, max_m)
-    s = rng.randint(1, max(1, target_m // 2))
-    budget = max(2, target_m - (s - 1))
-    cfg = GeneratorConfig(seed=0, spine_range=(s, s), leaf_budget=budget)
-    c = random_caterpillar(cfg, rng=rng)
+    while True:
+        target_m = rng.randint(2, max_m)
+        s = rng.randint(1, max(1, target_m // 2))
+        budget = max(2, target_m - (s - 1))
+        c = random_caterpillar(GeneratorConfig(spine_range=(s, s), leaf_budget=budget), rng)
+        # The end-count bump can add two edges; only such an instance is drawn again.
+        if c.m <= max_m:
+            break
     start = time.perf_counter()
     ol, trace = construct(c, seed=master_seed + index)
     report = check_weight_classes(ol, trace)
@@ -425,7 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here rather than at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`gen | head`): end quietly. Python flushes
+        # stdout once more at exit, so that flush goes to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -434,6 +457,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_REFUSED
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # any other failure is a bug too: one line that says where, not a traceback
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error: {type(exc).__name__}: {exc} "
+            f"(at {os.path.basename(where.filename)}:{where.lineno} in {where.name})",
+            file=sys.stderr,
+        )
         return EXIT_INTERNAL
 
 

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .graph_core import Caterpillar, InputError, parse_caterpillar
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    seed: int = 0
     spine_range: tuple[int, int] = (1, 10)
     leaf_budget: int = 10
 
@@ -57,8 +56,8 @@ def enumerate_caterpillars(max_n: int) -> Iterator[Caterpillar]:
                     yield parse_caterpillar(counts)
 
 
-def random_caterpillar(cfg: GeneratorConfig, rng: Optional[random.Random] = None) -> Caterpillar:
-    """Seeded random caterpillar: uniform spine length, multinomial leaves.
+def random_caterpillar(cfg: GeneratorConfig, rng: random.Random) -> Caterpillar:
+    """Random caterpillar drawn from rng: uniform spine length, multinomial leaves.
 
     End counts are bumped afterwards to keep the sequence canonical, so the
     actual leaf count may exceed the budget by up to two.
@@ -68,8 +67,6 @@ def random_caterpillar(cfg: GeneratorConfig, rng: Optional[random.Random] = None
         raise InputError(f"bad spine range {cfg.spine_range}")
     if cfg.leaf_budget < 2:
         raise InputError("leaf budget must be at least 2")
-    if rng is None:
-        rng = random.Random(cfg.seed)
     s = rng.randint(lo, hi)
     counts = [0] * s
     for _ in range(cfg.leaf_budget):
@@ -81,9 +78,3 @@ def random_caterpillar(cfg: GeneratorConfig, rng: Optional[random.Random] = None
         counts[-1] = max(counts[-1], 1)
     return parse_caterpillar(counts)
 
-
-def random_caterpillars(cfg: GeneratorConfig, count: int) -> Iterator[Caterpillar]:
-    """A reproducible stream: instance i uses the sub-seed (cfg.seed, i)."""
-    for i in range(count):
-        sub = random.Random(hash((cfg.seed, i)))
-        yield random_caterpillar(cfg, rng=sub)

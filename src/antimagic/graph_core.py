@@ -77,12 +77,6 @@ class Tree:
         return tuple(tuple(sorted(ns)) for ns in adj)
 
 
-def degree(t: Tree, v: int) -> int:
-    if not 0 <= v < t.n:
-        raise InputError(f"vertex {v} out of range for n={t.n}")
-    return len(t.adjacency[v])
-
-
 def leaves(t: Tree) -> set[int]:
     """All vertices of degree one."""
     return {v for v in range(t.n) if len(t.adjacency[v]) == 1}
@@ -97,15 +91,14 @@ class Caterpillar:
     `Tree`, on first read.
     """
 
-    spine: tuple[int, ...]
-    leaf_counts: tuple[int, ...]
+    leaf_counts: tuple[int, ...]  # per spine vertex 0..s-1
     m: int  # edge count
     r: int  # leaf count
 
     @cached_property
     def tree(self) -> Tree:
         """The caterpillar as a `Tree` in canonical numbering."""
-        s, n = len(self.spine), self.m + 1
+        s, n = len(self.leaf_counts), self.m + 1
         spine_edges = zip(range(s - 1), range(1, s))
         # Leaf ids s..n-1 in order, each with its spine vertex, whose id is lower:
         # every pair is already an Edge.
@@ -134,7 +127,7 @@ def parse_caterpillar(leaf_counts: list[int] | tuple[int, ...]) -> Caterpillar:
         if counts[0] < 1 or counts[-1] < 1:
             raise InputError("non-canonical caterpillar: end spine vertices need at least 1 leaf")
     r = sum(counts)
-    return Caterpillar(spine=tuple(range(s)), leaf_counts=counts, m=s - 1 + r, r=r)
+    return Caterpillar(leaf_counts=counts, m=s - 1 + r, r=r)
 
 
 def is_caterpillar(t: Tree) -> Optional[Caterpillar]:
@@ -201,12 +194,12 @@ def longest_path_decomposition(c: Caterpillar) -> PathDecomposition:
     taken at each end. If m - r is odd the last path edge is reclassified as a
     non-path edge and the dropped endpoint is recorded as trimmed_tail.
     """
-    s = len(c.spine)
+    s = len(c.leaf_counts)
     bounds = tuple(accumulate(c.leaf_counts, initial=s))
     leaves = [range(a, b) for a, b in zip(bounds, bounds[1:])]  # per spine vertex
     # The end leaves are the first leaf of each end spine vertex, or the
     # first two of a lone one.
-    full = (leaves[0][0], *c.spine, leaves[-1][s == 1])
+    full = (leaves[0][0], *range(s), leaves[-1][s == 1])
     if len(full) - 1 != c.m - c.r + 2:
         raise InvariantViolation("longest path length disagrees with m - r + 2")
     trimmed = full[-1] if (c.m - c.r) % 2 else None

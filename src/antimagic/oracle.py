@@ -10,15 +10,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from typing import Optional
 
 from . import verification
 from .construction import construct
-from .graph_core import Caterpillar, OrientedLabeling, ResourceLimitError, Tree
+from .graph_core import Arc, Caterpillar, OrientedLabeling, ResourceLimitError, Tree
 
 DEFAULT_CAP = 8
-FULL_COUNT_MAX_M = 6  # full-count mode is the default only up to here
+FULL_COUNT_MAX_M = 6  # exhaustive_search counts in full up to here even without count_all
 
 
 @dataclass(frozen=True)
@@ -55,29 +56,20 @@ def _check_cap(m: int, cap: int) -> None:
         )
 
 
-def _as_labeling(t: Tree, orientation: int, labeling: tuple) -> OrientedLabeling:
-    arcs = tuple(
-        (v, u) if orientation >> i & 1 else (u, v) for i, (u, v) in enumerate(t.edges)
-    )
-    return OrientedLabeling(n=t.n, arcs=arcs, labels=tuple(labeling))
+def _arcs(edges: tuple, orientation: int) -> tuple[Arc, ...]:
+    return tuple((v, u) if orientation >> i & 1 else (u, v) for i, (u, v) in enumerate(edges))
 
 
-def exhaustive_search(
-    t: Tree,
-    cap: int = DEFAULT_CAP,
-    count_all: Optional[bool] = None,
-    early_exit: bool = False,
-) -> OracleResult:
-    """Enumerate all 2^m orientations x m! labelings of a tree.
+def exhaustive_search(t: Tree, cap: int = DEFAULT_CAP, count_all: bool = False) -> OracleResult:
+    """Enumerate the 2^m orientations x m! labelings of a tree.
 
-    count_all defaults to True only for m <= FULL_COUNT_MAX_M. With
-    early_exit the search stops at the first witness; otherwise the full
-    count of antimagic pairs and of orientations admitting one is returned.
+    Every orientation is searched. Its labelings are counted in full when
+    count_all is set or m <= FULL_COUNT_MAX_M; otherwise the search moves on
+    to the next orientation at its first antimagic labeling.
     """
     m = len(t.edges)
     _check_cap(m, cap)
-    if count_all is None:
-        count_all = m <= FULL_COUNT_MAX_M
+    count_all = count_all or m <= FULL_COUNT_MAX_M
     edges = t.edges
     n = t.n
     witness = None
@@ -91,14 +83,12 @@ def exhaustive_search(
             if sums_distinct(n, edges, orientation, labeling):
                 hit_here += 1
                 if witness is None:
-                    witness = _as_labeling(t, orientation, labeling)
-                if early_exit or not count_all:
+                    witness = OrientedLabeling(n=n, arcs=_arcs(edges, orientation), labels=labeling)
+                if not count_all:
                     break
         if hit_here:
             good_orientations += 1
             total_pairs += hit_here
-        if early_exit and witness is not None:
-            break
     return OracleResult(
         m=m,
         orientations_with_solution=good_orientations,
@@ -127,12 +117,13 @@ def agreement_on_random_pairs(t: Tree, pairs: int, seed: int, cap: int = DEFAULT
     _check_cap(m, cap)
     rng = random.Random(seed)
     base = list(range(1, m + 1))
+    arcs = cache(lambda orientation: _arcs(t.edges, orientation))  # at most 2^m entries
     mismatches = 0
     for _ in range(pairs):
         orientation = rng.randrange(1 << m)
         labeling = tuple(rng.sample(base, m))
         a = sums_distinct(t.n, t.edges, orientation, labeling)
-        b = verification.verify_antimagic(_as_labeling(t, orientation, labeling))
+        b = verification.verify_antimagic(OrientedLabeling(n=t.n, arcs=arcs(orientation), labels=labeling))
         if a != b:
             mismatches += 1
     return mismatches
@@ -146,10 +137,11 @@ def agreement_on_all_pairs(t: Tree, cap: int = FULL_COUNT_MAX_M) -> tuple[int, i
     mismatches = 0
     expected = (1 << m) * math.factorial(m)
     for orientation in range(1 << m):
+        arcs = _arcs(t.edges, orientation)
         for labeling in permutations(range(1, m + 1)):
             checked += 1
             a = sums_distinct(t.n, t.edges, orientation, labeling)
-            b = verification.verify_antimagic(_as_labeling(t, orientation, labeling))
+            b = verification.verify_antimagic(OrientedLabeling(n=t.n, arcs=arcs, labels=labeling))
             if a != b:
                 mismatches += 1
     assert checked == expected

@@ -20,19 +20,13 @@ from .graph_core import (
 
 @dataclass
 class VerificationReport:
-    sums: dict[int, int]
-    weights: dict[int, int]
     class_ranges: dict[str, tuple[int, int]]
     antimagic: bool
     violations: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.antimagic and not self.violations
 
-
-def _vertex_sums(ol: OrientedLabeling) -> list[int]:
-    """Entering minus leaving labels, indexed by vertex."""
+def oriented_sums(ol: OrientedLabeling) -> list[int]:
+    """Per-vertex sum of entering labels minus leaving labels, indexed by vertex."""
     sums = [0] * ol.n
     for (tail, head), lbl in zip(ol.arcs, ol.labels):
         sums[head] += lbl
@@ -40,14 +34,9 @@ def _vertex_sums(ol: OrientedLabeling) -> list[int]:
     return sums
 
 
-def oriented_sums(ol: OrientedLabeling) -> dict[int, int]:
-    """Per-vertex sum of entering labels minus leaving labels."""
-    return dict(enumerate(_vertex_sums(ol)))
-
-
 def verify_antimagic(ol: OrientedLabeling) -> bool:
     """True iff all oriented vertex sums are pairwise distinct."""
-    sums = _vertex_sums(ol)
+    sums = oriented_sums(ol)
     return len(set(sums)) == len(sums)
 
 
@@ -58,7 +47,7 @@ def _check_distinct(values: list[int], name: str, violations: list[str]) -> None
 
 def check_class_intervals(
     ol: OrientedLabeling,
-    sums: dict[int, int],
+    sums: Sequence[int],
     classes: Mapping[int, VertexClass],
     path: Sequence[int],
     k1: int,
@@ -73,18 +62,7 @@ def check_class_intervals(
     path-end leaf. The observed ranges must not overlap and all weights must
     be pairwise distinct.
     """
-    return _check_weights(ol, {v: abs(s) for v, s in sums.items()}, classes, path, k1, k2)
-
-
-def _check_weights(
-    ol: OrientedLabeling,
-    weights: dict[int, int],
-    classes: Mapping[int, VertexClass],
-    path: Sequence[int],
-    k1: int,
-    k2: int,
-) -> tuple[list[str], dict[str, tuple[int, int]]]:
-    """`check_class_intervals` on weights already taken from the sums."""
+    weights = list(map(abs, sums))
     light, heavy, leaf = VertexClass.LIGHT, VertexClass.HEAVY, VertexClass.NON_PATH_LEAF
     leaves = {v for v, c in classes.items() if c is leaf}
     next_to_leaf = {t for t, h in ol.arcs if h in leaves}
@@ -133,23 +111,20 @@ def _check_weights(
     observed = sorted(ranges.values())
     if any(a[1] >= b[0] for a, b in zip(observed, observed[1:])):
         violations.append("class_ranges_overlap")
-    _check_distinct(list(weights.values()), "all_weights", violations)
+    _check_distinct(weights, "all_weights", violations)
     return violations, ranges
 
 
 def check_weight_classes(ol: OrientedLabeling, trace: ConstructionTrace) -> VerificationReport:
     """`check_class_intervals` on the classes and path the construction recorded."""
     sums = oriented_sums(ol)
-    weights = {v: abs(s) for v, s in sums.items()}
     p = trace.partition
-    violations, ranges = _check_weights(
-        ol, weights, trace.classes, trace.decomposition.path, p.k1, p.k2
+    violations, ranges = check_class_intervals(
+        ol, sums, trace.classes, trace.decomposition.path, p.k1, p.k2
     )
     return VerificationReport(
-        sums=sums,
-        weights=weights,
         class_ranges=ranges,
-        antimagic=len(set(sums.values())) == len(sums),
+        antimagic=len(set(sums)) == len(sums),
         violations=violations,
     )
 

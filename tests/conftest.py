@@ -24,5 +24,5 @@ def random_instance(master_seed: int, index: int, max_m: int) -> Caterpillar:
     target_m = rng.randint(2, max_m - 10)  # the end-count bump adds at most two edges
     s = rng.randint(1, max(1, target_m // 2))
     budget = max(2, target_m - (s - 1))
-    cfg = GeneratorConfig(seed=0, spine_range=(s, s), leaf_budget=budget)
+    cfg = GeneratorConfig(spine_range=(s, s), leaf_budget=budget)
     return random_caterpillar(cfg, rng=rng)

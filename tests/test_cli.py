@@ -1,16 +1,21 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from antimagic import cli
 from antimagic.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_VERIFY_FAIL,
@@ -288,6 +293,24 @@ class TestVerify:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"label": ', '"label": 999, "label": '),  # in an arc
+            ('{"n": ', '{"n": 6, "n": '),  # at top level, same value twice
+            ('"sums": {', '"sums": {"0": 99, '),
+            ('"classes": {', '"classes": {"0": "light", '),
+        ],
+        ids=["arc", "top_level", "sums", "classes"],
+    )
+    def test_duplicate_key_rejected(self, capsys, monkeypatch, old, new):
+        text = json.dumps(self.construct_json(capsys, monkeypatch, "1 1 1\n"))
+        assert run(capsys, monkeypatch, ["verify", "-"], stdin=text)[0] == EXIT_OK
+        # the second key of each pair is the document's own, which a last-wins reader accepts
+        code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=text.replace(old, new, 1))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "duplicate key" in err
+
     @reuses_fixtures
     @given(
         caterpillars(),
@@ -383,6 +406,44 @@ def test_generation_caps(capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, gen + ["--leaf-budget", "3"])
     assert (code, out) == (EXIT_REFUSED, "")
     assert "=6 exceeds" in err
+
+
+def test_gen_order_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ORDER", 5)
+    code, out, _ = run(capsys, monkeypatch, ["gen", "--max-n", "5"])
+    assert code == EXIT_OK
+    assert out.splitlines() == ["2", "3", "1 1", "4", "1 2", "1 0 1"]
+    code, out, err = run(capsys, monkeypatch, ["gen", "--max-n", "6"])
+    assert (code, out) == (EXIT_REFUSED, "")
+    assert "--max-n=6 exceeds" in err
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def fails(c, seed=0):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "construct", fails)
+    code, out, err = run(capsys, monkeypatch, ["construct", "-"], stdin="2\n")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith("internal error: ZeroDivisionError: boom (at test_cli.py:")
+    assert err.endswith(" in fails)\n")
+
+
+def test_closed_pipe_ends_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    # gen prints ~1.7 MB here, far more than a pipe holds, so it writes after the close
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "antimagic.cli", "gen", "--max-n", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"2\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()  # a no-op once it has exited
+    with proc.stderr:
+        assert (code, proc.stderr.read()) == (EXIT_OK, b"")
 
 
 class TestTreeNotBuilt:
@@ -481,6 +542,15 @@ class TestStress:
         _, first, _ = run(capsys, monkeypatch, args)
         _, second, _ = run(capsys, monkeypatch, args)
         assert first == second
+
+    @settings(reuses_fixtures, max_examples=30, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(2, 12))
+    @example(0, 5)  # instance 0 used to be drawn at m = 6
+    def test_respects_max_m(self, capsys, monkeypatch, seed, max_m):
+        argv = ["stress", "--count", "40", "--max-m", str(max_m), "--seed", str(seed)]
+        code, out, _ = run(capsys, monkeypatch, argv)
+        assert code == EXIT_OK
+        assert json.loads(out.splitlines()[-1])["max_m"] <= max_m
 
     def test_parallel_matches_serial(self, capsys, monkeypatch):
         base = ["stress", "--count", "12", "--max-m", "30", "--seed", "5"]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -15,7 +16,6 @@ from antimagic.generators import (
     GeneratorConfig,
     enumerate_caterpillars,
     random_caterpillar,
-    random_caterpillars,
 )
 
 
@@ -72,22 +72,26 @@ class TestEnumerate:
 
 class TestRandom:
     def test_deterministic(self):
-        cfg = GeneratorConfig(seed=11, spine_range=(2, 9), leaf_budget=7)
-        assert random_caterpillar(cfg).leaf_counts == random_caterpillar(cfg).leaf_counts
+        cfg = GeneratorConfig(spine_range=(2, 9), leaf_budget=7)
+        first = random_caterpillar(cfg, random.Random(11))
+        assert first.leaf_counts == random_caterpillar(cfg, random.Random(11)).leaf_counts
 
     def test_forced_star(self):
-        cfg = GeneratorConfig(seed=0, spine_range=(1, 1), leaf_budget=5)
-        c = random_caterpillar(cfg)
+        cfg = GeneratorConfig(spine_range=(1, 1), leaf_budget=5)
+        c = random_caterpillar(cfg, random.Random(0))
         assert c.leaf_counts == (5,)
 
     def test_bad_range(self):
         with pytest.raises(InputError):
-            random_caterpillar(GeneratorConfig(seed=0, spine_range=(3, 2), leaf_budget=5))
+            random_caterpillar(GeneratorConfig(spine_range=(3, 2), leaf_budget=5), random.Random(0))
 
     def test_stream_valid_and_reproducible(self):
-        cfg = GeneratorConfig(seed=3, spine_range=(1, 40), leaf_budget=60)
-        first = [c.leaf_counts for c in random_caterpillars(cfg, 200)]
-        second = [c.leaf_counts for c in random_caterpillars(cfg, 200)]
+        # one rng drawn from repeatedly, as `gen --random` does
+        cfg = GeneratorConfig(spine_range=(1, 40), leaf_budget=60)
+        rng = random.Random(3)
+        first = [random_caterpillar(cfg, rng).leaf_counts for _ in range(200)]
+        rng = random.Random(3)
+        second = [random_caterpillar(cfg, rng).leaf_counts for _ in range(200)]
         assert first == second
         for counts in first:
             c = parse_caterpillar(counts)

@@ -5,7 +5,6 @@ from antimagic.graph_core import (
     InputError,
     OrientedLabeling,
     Tree,
-    degree,
     format_leaf_counts,
     is_caterpillar,
     leaves,
@@ -103,19 +102,15 @@ class TestOrientedLabeling:
 
 class TestDegreeAndLeaves:
     def test_path_middle_degree(self):
-        assert degree(path_tree(3), 1) == 2
+        assert path_tree(3).adjacency[1] == (0, 2)
 
     def test_star_center_degree(self):
-        assert degree(star_tree(4), 0) == 4
+        assert len(star_tree(4).adjacency[0]) == 4
 
     def test_five_edge_branch_degree(self):
-        assert degree(FIVE_EDGE, 2) == 3
-        # adjacency-scan oracle
+        assert len(FIVE_EDGE.adjacency[2]) == 3
+        # edge-scan oracle
         assert sum(1 for u, v in FIVE_EDGE.edges if 2 in (u, v)) == 3
-
-    def test_degree_out_of_range(self):
-        with pytest.raises(InputError):
-            degree(path_tree(3), 5)
 
     def test_path_leaves(self):
         assert leaves(path_tree(3)) == {0, 2}

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from antimagic import oracle
 from antimagic.graph_core import ResourceLimitError, Tree, parse_caterpillar
 from antimagic.oracle import (
     agreement_on_all_pairs,
@@ -32,11 +33,6 @@ class TestExhaustiveSearch:
         with pytest.raises(ResourceLimitError):
             exhaustive_search(c.tree, cap=4)
 
-    def test_early_exit_counts_nothing_extra(self):
-        res = exhaustive_search(parse_caterpillar([2]).tree, early_exit=True)
-        assert res.witness is not None
-        assert res.pairs_enumerated <= 8
-
     def test_enumeration_coverage_m4(self):
         res = exhaustive_search(parse_caterpillar([3]).tree)
         assert res.pairs_enumerated == 2**3 * math.factorial(3)
@@ -66,3 +62,19 @@ class TestAgreement:
     def test_random_pairs(self):
         t = parse_caterpillar([1, 0, 1, 0, 1]).tree
         assert agreement_on_random_pairs(t, pairs=2000, seed=5) == 0
+
+    def test_arcs_built_once_per_orientation(self, monkeypatch):
+        built = []
+        real = oracle._arcs
+
+        def counted(edges, orientation):
+            built.append(orientation)
+            return real(edges, orientation)
+
+        monkeypatch.setattr(oracle, "_arcs", counted)
+        t = parse_caterpillar([1, 1, 1]).tree  # m = 5: 32 orientations
+        assert agreement_on_random_pairs(t, pairs=2000, seed=5) == 0
+        assert sorted(built) == sorted(set(built)) and len(built) <= 32
+        built.clear()
+        assert agreement_on_all_pairs(t) == (32 * 120, 0)
+        assert built == list(range(32))
