@@ -48,8 +48,8 @@ EXIT_REFUSED = 4
 # construct and oracle refuse an input line with more edges than this, stress
 # a --max-m above it, gen --random a largest m above it. At m = 10^6 (spine
 # m/3; Python 3.11, 2 vCPUs, stdout to a file), construct --format json takes
-# ~18 s of CPU and peaks at ~850 MB resident, and verify of its output ~13 s
-# and ~670 MB.
+# ~11 s of CPU and peaks at ~590 MB resident, and verify of its output ~8 s
+# and ~585 MB.
 MAX_EDGES = 2_000_000
 
 # gen refuses a --max-n above this. There are 2^(n-4) + 2^((n-4)//2)
@@ -109,15 +109,14 @@ def _read_instances(path: str | None) -> list[tuple[int, Caterpillar]]:
 
 
 def labeling_to_json(ol: OrientedLabeling, trace: ConstructionTrace) -> dict:
-    sums, classes = oriented_sums(ol), trace.classes
     return {
         "n": ol.n,
         "arcs": [
             {"from": tail, "to": head, "label": lbl}
             for (tail, head), lbl in zip(ol.arcs, ol.labels)
         ],
-        "sums": {str(v): s for v, s in enumerate(sums)},
-        "classes": {str(v): CLASS_NAMES[classes[v]] for v in range(ol.n)},
+        "sums": oriented_sums(ol),
+        "classes": [CLASS_NAMES[c] for c in trace.classes],
         "path": list(trace.decomposition.path),
         "k1": trace.partition.k1,
         "k2": trace.partition.k2,
@@ -127,10 +126,8 @@ def labeling_to_json(ol: OrientedLabeling, trace: ConstructionTrace) -> dict:
 def _render_dot(ol: OrientedLabeling, trace: ConstructionTrace) -> str:
     sums = oriented_sums(ol)
     lines = ["digraph antimagic {"]
-    for v in range(ol.n):
-        style = ""
-        if trace.classes[v] is VertexClass.LIGHT:
-            style = ', style=filled, fillcolor="lightgrey"'
+    for v, cls in enumerate(trace.classes):
+        style = ', style=filled, fillcolor="lightgrey"' if cls is VertexClass.LIGHT else ""
         lines.append(f'  v{v} [label="{v}\\ns={sums[v]}"{style}];')
     for (tail, head), lbl in zip(ol.arcs, ol.labels):
         lines.append(f'  v{tail} -> v{head} [label="{lbl}"];')
@@ -142,7 +139,7 @@ def _render_tsv(ol: OrientedLabeling, trace: ConstructionTrace) -> str:
     sums = oriented_sums(ol)
     rows = [f"arc\t{tail}\t{head}\t{lbl}" for (tail, head), lbl in zip(ol.arcs, ol.labels)]
     rows += [f"sum\t{v}\t{sums[v]}" for v in range(ol.n)]
-    rows += [f"class\t{v}\t{CLASS_NAMES[trace.classes[v]]}" for v in range(ol.n)]
+    rows += [f"class\t{v}\t{CLASS_NAMES[cls]}" for v, cls in enumerate(trace.classes)]
     return "\n".join(rows)
 
 
@@ -177,14 +174,6 @@ def _ints(values: Collection[object]) -> None:
             _int(value)
 
 
-def _vertex(key: str) -> int:
-    """A vertex key of `sums` or `classes`: canonical decimal only, so no two keys name one vertex."""
-    v = int(key)
-    if str(v) != key:
-        raise ValueError(f"vertex key {key!r} is not a canonical decimal")
-    return v
-
-
 def _object(pairs: list[tuple[str, object]]) -> dict:
     """A decoded JSON object; InputError if a key repeats, since the last one would silently win."""
     obj = dict(pairs)
@@ -216,29 +205,45 @@ def _labeling_from_json(doc: dict) -> OrientedLabeling:
         raise InputError(f"labels_not_bijection: {exc}") from exc
 
 
-def _class_args_from_json(doc: dict, n: int) -> tuple | None:
-    """classes, path, k1, k2 for `check_class_intervals`; None if the document has none of them."""
+def _class_args_from_json(doc: dict, ol: OrientedLabeling) -> tuple | None:
+    """classes, path, k1, k2 for `check_class_intervals`; None if the document has none of them.
+
+    classes names the class of each of the n vertices in vertex order; path is
+    a path of the tree, and holds every light and heavy vertex.
+    """
     keys = ("classes", "path", "k1", "k2")
     missing = [key for key in keys if key not in doc]
     if len(missing) == len(keys):
         return None
     if missing:
         raise InputError(f"{', '.join(keys)} come together; missing {', '.join(missing)}")
-    if not isinstance(doc["classes"], dict) or not isinstance(doc["path"], list) or not doc["path"]:
-        raise InputError("classes must be an object and path a non-empty list")
+    n, classes, path = ol.n, doc["classes"], doc["path"]
+    if not isinstance(classes, list) or len(classes) != n or not isinstance(path, list) or not path:
+        raise InputError(f"classes must be a list of n={n} class names, and path a non-empty list")
     by_name = {c.value: c for c in VertexClass}
     try:
-        classes = {_vertex(v): by_name[c] for v, c in doc["classes"].items()}
-        path = doc["path"]
+        classes = [by_name[c] for c in classes]
         _ints(path)
         k1, k2 = _int(doc["k1"]), _int(doc["k2"])
     except KeyError as exc:
         raise InputError(f"classes: unknown class {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise InputError(f"bad classes, path, k1 or k2: {exc}") from exc
-    outside = [v for v in (*classes, *path) if not 0 <= v < n]
+    outside = [v for v in path if not 0 <= v < n]
     if outside:
         raise InputError(f"vertex {outside[0]} out of range for n={n}")
+    on_path = set(path)
+    if len(on_path) != len(path):
+        repeated = next(v for v, count in Counter(path).items() if count > 1)
+        raise InputError(f"path: vertex {repeated} repeats")
+    steps = {*zip(path, path[1:]), *zip(path[1:], path)}  # each step in both directions
+    steps.intersection_update(ol.arcs)  # a tree has one arc per edge, in one direction
+    for a, b in zip(path, path[1:]):
+        if (a, b) not in steps and (b, a) not in steps:
+            raise InputError(f"path: vertices {a} and {b} are not joined by an arc")
+    for v, c in enumerate(classes):
+        if (c is VertexClass.LIGHT or c is VertexClass.HEAVY) and v not in on_path:
+            raise InputError(f"classes: {c.value} vertex {v} is not on the path")
     return classes, path, k1, k2
 
 
@@ -251,28 +256,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     del text  # not kept alive next to the document
     # Each part of the document is dropped once read: arcs, classes, sums.
     ol = _labeling_from_json(doc)
-    class_args = _class_args_from_json(doc, ol.n)
+    class_args = _class_args_from_json(doc, ol)
     doc.pop("classes", None)
     sums = oriented_sums(ol)
-    keyed = {str(v): s for v, s in enumerate(sums)}  # as the report and a constructed document have them
     violations = []
     if len(set(sums)) != len(sums):
         violations.append("duplicate_sum")
     if "sums" in doc:
         declared = doc.pop("sums")
+        if not isinstance(declared, list) or len(declared) != ol.n:
+            raise InputError(f"sums must be a list of n={ol.n} integers")
         try:
-            _ints(declared.values())
-            if declared != keyed:
-                for key in declared:  # a key that is not canonical is an input error, not a mismatch
-                    _vertex(key)
-                violations.append("declared_sums_mismatch")
-        except (AttributeError, TypeError, ValueError) as exc:
+            _ints(declared)
+        except TypeError as exc:
             raise InputError(f"bad sums: {exc}") from exc
+        if declared != sums:
+            violations.append("declared_sums_mismatch")
         del declared
     if class_args is not None:
         violations += check_class_intervals(ol, sums, *class_args)[0]
-    del ol, class_args, sums  # the report needs only the keyed sums
-    report = {"sums": keyed, "antimagic": "duplicate_sum" not in violations, "violations": violations}
+    del ol, class_args  # the report needs only the sums
+    report = {"sums": sums, "antimagic": "duplicate_sum" not in violations, "violations": violations}
     print(json.dumps(report))
     return EXIT_OK if not violations else EXIT_VERIFY_FAIL
 
@@ -298,11 +302,12 @@ def _oracle_cap(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cap = _oracle_cap(args)
     instances = _read_instances(args.input)
+    for _, c in instances:  # every line is refused or accepted before any result is printed
+        oracle_mod._check_cap(c.m, cap)
     all_found = True
     for _, c in instances:
         res = oracle_mod.exhaustive_search(c.tree, cap=cap, count_all=args.count_all)
-        found = res.witness is not None
-        all_found &= found
+        all_found &= res.witness is not None
         doc = {
             "input": format_leaf_counts(c),
             "m": res.m,
@@ -375,25 +380,23 @@ def cmd_stress(args: argparse.Namespace) -> int:
     _at_least("--max-m", args.max_m, 2)
     _at_least("--jobs", args.jobs, 1)
     _within_cap("--max-m", args.max_m)
-    tasks = [(i, args.seed, args.max_m) for i in range(args.count)]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_stress_one, tasks))  # map keeps input order
-    else:
-        records = [_stress_one(t) for t in tasks]
-    bad = [r for r in records if r.violations]
-    for r in bad:
-        print(json.dumps({"line": r.line, "seed": r.seed, "violations": r.violations}))
-    summary = {
-        "instances": len(records),
-        "max_m": max((r.m for r in records), default=0),
-        "violations": sum(len(r.violations) for r in records),
-    }
+    tasks = ((i, args.seed, args.max_m) for i in range(args.count))
+    summary = {"instances": 0, "max_m": 0, "violations": 0}
+    wall_time = 0.0
+    # Each record is read as it arrives and dropped; pool.map keeps input order.
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        for r in pool.map(_stress_one, tasks) if args.jobs > 1 else map(_stress_one, tasks):
+            if r.violations:
+                print(json.dumps({"line": r.line, "seed": r.seed, "violations": r.violations}))
+            summary["instances"] += 1
+            summary["max_m"] = max(summary["max_m"], r.m)
+            summary["violations"] += len(r.violations)
+            wall_time += r.wall_time
     print(json.dumps(summary))
     # timing goes to stderr so stdout stays byte-identical across repeat runs
-    mean = sum(r.wall_time for r in records) / len(records) if records else 0.0
+    mean = wall_time / summary["instances"] if summary["instances"] else 0.0
     print(f"mean wall time per instance: {mean:.6f}s", file=sys.stderr)
-    return EXIT_OK if not bad else EXIT_VERIFY_FAIL
+    return EXIT_VERIFY_FAIL if summary["violations"] else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,7 +42,7 @@ class ConstructionTrace:
 
     partition: LabelPartition
     decomposition: PathDecomposition
-    classes: dict[int, VertexClass]
+    classes: list[VertexClass]  # indexed by vertex
     path_arc_directions: tuple[bool, ...]  # True: path edge i runs u_i -> u_{i+1}
     light_order: tuple[int, ...]
     heavy_order: tuple[int, ...]
@@ -79,15 +79,16 @@ def label_path_edges(d: PathDecomposition, p: LabelPartition) -> dict[Edge, int]
 
 def classify_vertices(
     c: Caterpillar, d: PathDecomposition, path_labels: dict[Edge, int]
-) -> dict[int, VertexClass]:
+) -> list[VertexClass]:
     """Step 3: interior path vertices split into light and heavy.
 
     A path vertex of degree >= 2 is light when its plain sum of incident path
     labels stays below m and exactly one neighbor lies off the path; otherwise
     it is heavy. Degree-one path vertices (u_0, and u_k in the even case) are
-    path-end leaves; everything off the path is a plain leaf.
+    path-end leaves; everything off the path is a plain leaf. The result is
+    indexed by vertex.
     """
-    classes = {w: VertexClass.NON_PATH_LEAF for leaves in d.offpath_leaves for w in leaves}
+    classes = [VertexClass.NON_PATH_LEAF] * (c.m + 1)
     labels = [0, *(path_labels[e] for e in d.path_edges), 0]  # labels[i]: path edge i-1
     for i, v in enumerate(d.path):
         if i == 0 or (i == d.k and d.trimmed_tail is None):
@@ -99,7 +100,7 @@ def classify_vertices(
     return classes
 
 
-def orient_path(d: PathDecomposition, classes: dict[int, VertexClass]) -> tuple[bool, ...]:
+def orient_path(d: PathDecomposition, classes: list[VertexClass]) -> tuple[bool, ...]:
     """Step 4. Direction flag per path edge; True means u_i -> u_{i+1}."""
     dirs = [True]  # u_0 -> u_1 always
     for i in range(1, d.k):
@@ -128,7 +129,7 @@ def _path_sums(
 def orient_nonpath_edges(
     c: Caterpillar,
     d: PathDecomposition,
-    classes: dict[int, VertexClass],
+    classes: list[VertexClass],
     dirs: tuple[bool, ...],
     path_labels: dict[Edge, int],
 ) -> dict[Edge, Arc]:
@@ -154,7 +155,7 @@ def label_light_edges(
     c: Caterpillar,
     d: PathDecomposition,
     p: LabelPartition,
-    classes: dict[int, VertexClass],
+    classes: list[VertexClass],
     dirs: tuple[bool, ...],
     path_labels: dict[Edge, int],
 ) -> tuple[dict[Edge, int], tuple[int, ...]]:
@@ -175,7 +176,7 @@ def label_heavy_edges(
     c: Caterpillar,
     d: PathDecomposition,
     p: LabelPartition,
-    classes: dict[int, VertexClass],
+    classes: list[VertexClass],
     dirs: tuple[bool, ...],
     path_labels: dict[Edge, int],
     nonpath_arcs: dict[Edge, Arc],

@@ -7,7 +7,7 @@ a bug in the construction's own sums cannot hide itself.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .construction import ConstructionTrace
@@ -48,12 +48,14 @@ def _check_distinct(values: list[int], name: str, violations: list[str]) -> None
 def check_class_intervals(
     ol: OrientedLabeling,
     sums: Sequence[int],
-    classes: Mapping[int, VertexClass],
+    classes: Sequence[VertexClass],
     path: Sequence[int],
     k1: int,
     k2: int,
 ) -> tuple[list[str], dict[str, tuple[int, int]]]:
     """Validate the per-class weight intervals; return violations and observed ranges.
+
+    `classes` holds one class per vertex, indexed by vertex.
 
     Light weights fill [0, k1-1]; degree-one weights fill [k1, k2+1]; heavy
     vertices without heavy edges land in [k2+2, m+k1], strictly decreasing
@@ -64,10 +66,8 @@ def check_class_intervals(
     """
     weights = list(map(abs, sums))
     light, heavy, leaf = VertexClass.LIGHT, VertexClass.HEAVY, VertexClass.NON_PATH_LEAF
-    leaves = {v for v, c in classes.items() if c is leaf}
-    next_to_leaf = {t for t, h in ol.arcs if h in leaves}
-    next_to_leaf.update(h for t, h in ol.arcs if t in leaves)
-    del leaves  # not kept alive next to the groups
+    next_to_leaf = {t for t, h in ol.arcs if classes[h] is leaf}
+    next_to_leaf.update(h for t, h in ol.arcs if classes[t] is leaf)
     m = ol.m
     bounds = {
         "light": (0, k1 - 1),
@@ -75,12 +75,11 @@ def check_class_intervals(
         "heavy_no_heavy_edge": (k2 + 2, m + k1),
         "heavy_with_heavy_edge": (m + k1 + 1, None),
     }
-    items = classes.items()
     groups = {
-        "light": [weights[v] for v, c in items if c is light],
-        "degree_one": [weights[v] for v, c in items if c is not light and c is not heavy],
-        "heavy_no_heavy_edge": [weights[v] for v, c in items if c is heavy and v not in next_to_leaf],
-        "heavy_with_heavy_edge": [weights[v] for v, c in items if c is heavy and v in next_to_leaf],
+        "light": [weights[v] for v, c in enumerate(classes) if c is light],
+        "degree_one": [weights[v] for v, c in enumerate(classes) if c is not light and c is not heavy],
+        "heavy_no_heavy_edge": [weights[v] for v, c in enumerate(classes) if c is heavy and v not in next_to_leaf],
+        "heavy_with_heavy_edge": [weights[v] for v, c in enumerate(classes) if c is heavy and v in next_to_leaf],
     }
 
     violations: list[str] = []
@@ -94,18 +93,14 @@ def check_class_intervals(
             violations.append(f"{name}_range")
         ranges[name] = (min(ws), max(ws))
 
-    plain = [
-        weights[v]
-        for v in path
-        if classes.get(v) is heavy and v not in next_to_leaf
-    ]
+    plain = [weights[v] for v in path if classes[v] is heavy and v not in next_to_leaf]
     if any(a <= b for a, b in zip(plain, plain[1:])):
         violations.append("heavy_no_heavy_edge_not_decreasing")
 
     if weights[path[0]] != k1:
         violations.append("u0_weight")
     uk = path[-1]
-    if classes.get(uk) is VertexClass.PATH_END_LEAF and weights[uk] != k2 + 1:
+    if classes[uk] is VertexClass.PATH_END_LEAF and weights[uk] != k2 + 1:
         violations.append("uk_weight")
 
     observed = sorted(ranges.values())

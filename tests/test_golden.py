@@ -1,20 +1,32 @@
-"""Golden digest of construct()'s output and trace.
+"""Golden digests of construct()'s output and trace, and of the CLI's text formats.
 
-The digest pins the arcs, labels and every ordering the construction
+The first digest pins the arcs, labels and every ordering the construction
 decides, over every caterpillar of order at most 12 (three seeds each) and
-300 seeded random instances with at most 1,000 edges. A refactor of the
-construction must leave it unchanged; a deliberate change of output must
-say why and record the new digest.
+300 seeded random instances with at most 1,000 edges. The others pin the
+bytes `construct --format tsv` and `--format dot` print for every
+caterpillar of order at most 10 at seed 4. A refactor must leave them
+unchanged; a deliberate change of output must say why and record the new
+digest.
 """
 
+import contextlib
 import hashlib
+import io
 
+import pytest
+
+from antimagic.cli import main
 from antimagic.construction import construct
 from antimagic.generators import enumerate_caterpillars
+from antimagic.graph_core import format_leaf_counts
 
 from conftest import random_instance
 
 GOLDEN_SHA256 = "41b49bc1861b5f86e7d4b0e365bde3ded35c0d99cd4ea012f771ead3db14f2a7"
+FORMAT_SHA256 = {
+    "tsv": "694ae62f34088868ba59a4c95eede32b2cdb5eb0fe6525ba739f9511ba7ae469",
+    "dot": "fdf241687dea61f43acd9a976298db0006fd78731162dd42a9005409f287b1b5",
+}
 
 
 def construction_record(c, seed: int) -> tuple:
@@ -25,7 +37,7 @@ def construction_record(c, seed: int) -> tuple:
         seed,
         ol.arcs,
         ol.labels,
-        tuple(sorted((v, cls.value) for v, cls in trace.classes.items())),
+        tuple(sorted((v, cls.value) for v, cls in enumerate(trace.classes))),
         d.path,
         d.path_edges,
         tuple(sorted(d.nonpath_edges)),
@@ -44,3 +56,13 @@ def test_construct_output_digest():
         assert c.m <= 1000
         digest.update(repr(construction_record(c, seed)).encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMAT_SHA256))
+def test_text_format_digest(monkeypatch, fmt):
+    lines = "".join(format_leaf_counts(c) + "\n" for c in enumerate_caterpillars(10))
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["construct", "-", "--format", fmt, "--seed", "4"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FORMAT_SHA256[fmt]
