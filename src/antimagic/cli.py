@@ -16,7 +16,6 @@ import time
 import traceback
 from collections import Counter
 from collections.abc import Collection
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -71,7 +70,6 @@ class RunRecord:
     n_l: int
     n_h: int
     seed: int
-    antimagic: bool
     violations: list[str] = field(default_factory=list)
     wall_time: float = 0.0
 
@@ -93,7 +91,7 @@ def _within_cap(name: str, m: int) -> None:
         raise ResourceLimitError(f"{name}={m} exceeds the input cap of {MAX_EDGES} edges")
 
 
-def _read_instances(path: str | None) -> list[tuple[int, Caterpillar]]:
+def _read_instances(path: str | None) -> list[Caterpillar]:
     out = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
@@ -102,7 +100,7 @@ def _read_instances(path: str | None) -> list[tuple[int, Caterpillar]]:
         try:
             counts = parse_leaf_counts(stripped)
             _within_cap(f"line {lineno}: m", len(counts) - 1 + sum(counts))
-            out.append((lineno, parse_caterpillar(counts)))
+            out.append(parse_caterpillar(counts))
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
     return out
@@ -146,7 +144,7 @@ def _render_tsv(ol: OrientedLabeling, trace: ConstructionTrace) -> str:
 def cmd_construct(args: argparse.Namespace) -> int:
     instances = _read_instances(args.input)
     all_ok = True
-    for _, c in instances:
+    for c in instances:
         ol, trace = construct(c, seed=args.seed)
         all_ok &= verify_antimagic(ol)
         if args.format == "json":
@@ -229,6 +227,16 @@ def _class_args_from_json(doc: dict, ol: OrientedLabeling) -> tuple | None:
         raise InputError(f"classes: unknown class {exc}") from exc
     except TypeError as exc:
         raise InputError(f"bad classes, path, k1 or k2: {exc}") from exc
+    # The paper's split for this tree: k1 = ceil((m-r+1)/2), k2 = ceil((m+r)/2) - 1,
+    # r the vertices of degree one; any other pair would move the class intervals.
+    degree = [0] * n
+    for u, v in ol.arcs:
+        degree[u] += 1
+        degree[v] += 1
+    m, r = ol.m, degree.count(1)
+    split = ((m - r + 2) // 2, (m + r + 1) // 2 - 1)
+    if (k1, k2) != split:
+        raise InputError(f"k1, k2 must be {split[0]}, {split[1]} for m={m} and r={r}, got {k1}, {k2}")
     outside = [v for v in path if not 0 <= v < n]
     if outside:
         raise InputError(f"vertex {outside[0]} out of range for n={n}")
@@ -302,10 +310,10 @@ def _oracle_cap(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cap = _oracle_cap(args)
     instances = _read_instances(args.input)
-    for _, c in instances:  # every line is refused or accepted before any result is printed
+    for c in instances:  # every line is refused or accepted before any result is printed
         oracle_mod._check_cap(c.m, cap)
     all_found = True
-    for _, c in instances:
+    for c in instances:
         res = oracle_mod.exhaustive_search(c.tree, cap=cap, count_all=args.count_all)
         all_found &= res.witness is not None
         doc = {
@@ -369,7 +377,6 @@ def _stress_one(task: tuple[int, int, int]) -> RunRecord:
         n_l=trace.n_l,
         n_h=trace.n_h,
         seed=master_seed + index,
-        antimagic=report.antimagic,
         violations=violations,
         wall_time=time.perf_counter() - start,
     )
@@ -378,20 +385,19 @@ def _stress_one(task: tuple[int, int, int]) -> RunRecord:
 def cmd_stress(args: argparse.Namespace) -> int:
     _at_least("--count", args.count, 0)
     _at_least("--max-m", args.max_m, 2)
-    _at_least("--jobs", args.jobs, 1)
+    if args.jobs != 1:
+        raise InputError(f"--jobs must be 1, got {args.jobs}: instances run one after another")
     _within_cap("--max-m", args.max_m)
     tasks = ((i, args.seed, args.max_m) for i in range(args.count))
     summary = {"instances": 0, "max_m": 0, "violations": 0}
     wall_time = 0.0
-    # Each record is read as it arrives and dropped; pool.map keeps input order.
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for r in pool.map(_stress_one, tasks) if args.jobs > 1 else map(_stress_one, tasks):
-            if r.violations:
-                print(json.dumps({"line": r.line, "seed": r.seed, "violations": r.violations}))
-            summary["instances"] += 1
-            summary["max_m"] = max(summary["max_m"], r.m)
-            summary["violations"] += len(r.violations)
-            wall_time += r.wall_time
+    for r in map(_stress_one, tasks):  # each record is read as it arrives and dropped
+        if r.violations:
+            print(json.dumps({"line": r.line, "seed": r.seed, "violations": r.violations}))
+        summary["instances"] += 1
+        summary["max_m"] = max(summary["max_m"], r.m)
+        summary["violations"] += len(r.violations)
+        wall_time += r.wall_time
     print(json.dumps(summary))
     # timing goes to stderr so stdout stays byte-identical across repeat runs
     mean = wall_time / summary["instances"] if summary["instances"] else 0.0
@@ -436,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-m", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted only as 1: instances run one after another")
     p.set_defaults(func=cmd_stress)
     return parser
 

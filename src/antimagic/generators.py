@@ -15,22 +15,16 @@ class GeneratorConfig:
     leaf_budget: int = 10
 
 
-def _compositions(total: int, parts: int, lo_first: int, lo_last: int) -> Iterator[tuple[int, ...]]:
-    """All sequences of `parts` nonnegative ints summing to total, with floors on the ends."""
-    if parts == 1:
-        if total >= max(lo_first, lo_last):
-            yield (total,)
-        return
+def _compositions(total: int, parts: int, lo: int) -> Iterator[tuple[int, ...]]:
+    """All sequences of `parts` nonnegative ints summing to total, the two ends at least lo."""
 
     def rec(prefix: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
         pos = len(prefix)
         if pos == parts - 1:
-            if remaining >= lo_last:
+            if remaining >= lo:
                 yield prefix + (remaining,)
             return
-        lo = lo_first if pos == 0 else 0
-        hi = remaining - lo_last
-        for c in range(lo, hi + 1):
+        for c in range(lo if pos == 0 else 0, remaining - lo + 1):
             yield from rec(prefix + (c,), remaining - c)
 
     yield from rec((), total)
@@ -50,8 +44,7 @@ def enumerate_caterpillars(max_n: int) -> Iterator[Caterpillar]:
             r = n - s
             if r < 2:
                 continue  # a lone spine vertex needs 2 leaves, two ends need 1 each
-            lo = 2 if s == 1 else 1
-            for counts in _compositions(r, s, lo, lo):
+            for counts in _compositions(r, s, 2 if s == 1 else 1):
                 if counts <= counts[::-1]:
                     yield parse_caterpillar(counts)
 

@@ -77,11 +77,6 @@ class Tree:
         return tuple(tuple(sorted(ns)) for ns in adj)
 
 
-def leaves(t: Tree) -> set[int]:
-    """All vertices of degree one."""
-    return {v for v in range(t.n) if len(t.adjacency[v]) == 1}
-
-
 @dataclass(frozen=True)
 class Caterpillar:
     """Canonical caterpillar: spine vertices 0..s-1, then leaves in spine order.
@@ -138,32 +133,17 @@ def is_caterpillar(t: Tree) -> Optional[Caterpillar]:
     """
     if t.n < 3:
         return None
-    leaf_set = leaves(t)
-    interior = [v for v in range(t.n) if v not in leaf_set]
-    # Any tree of order >= 3 has an interior vertex.
-    inner_adj = {v: [w for w in t.adjacency[v] if w not in leaf_set] for v in interior}
-    if any(len(ns) > 2 for ns in inner_adj.values()):
+    adj = t.adjacency
+    # With its leaves deleted, a tree of order >= 3 is still a tree, so it is
+    # a path exactly when no vertex in it has three neighbours in it.
+    inner = {v: [w for w in ns if len(adj[w]) > 1] for v, ns in enumerate(adj) if len(ns) > 1}
+    if any(len(ns) > 2 for ns in inner.values()):
         return None
-    endpoints = [v for v in interior if len(inner_adj[v]) <= 1]
-    # A path has exactly two interior-degree-<=1 vertices (or one, if trivial).
-    if len(interior) == 1:
-        spine_order = interior
-    else:
-        if len(endpoints) != 2:
-            return None
-        spine_order = [min(endpoints)]
-        prev = -1
-        while True:
-            nxt = [w for w in inner_adj[spine_order[-1]] if w != prev]
-            if not nxt:
-                break
-            prev = spine_order[-1]
-            spine_order.append(nxt[0])
-        if len(spine_order) != len(interior):
-            return None  # interior not connected as a single path
-    counts = tuple(sum(1 for w in t.adjacency[v] if w in leaf_set) for v in spine_order)
-    canonical = min(counts, counts[::-1])
-    return parse_caterpillar(canonical)
+    spine = [min(v for v, ns in inner.items() if len(ns) < 2)]  # the smaller end
+    while len(spine) < len(inner):
+        spine.append(next(w for w in inner[spine[-1]] if w not in spine[-2:]))
+    counts = tuple(len(adj[v]) - len(inner[v]) for v in spine)
+    return parse_caterpillar(min(counts, counts[::-1]))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 from hypothesis import strategies as st
 
 from antimagic.generators import GeneratorConfig, random_caterpillar
@@ -26,3 +27,13 @@ def random_instance(master_seed: int, index: int, max_m: int) -> Caterpillar:
     budget = max(2, target_m - (s - 1))
     cfg = GeneratorConfig(spine_range=(s, s), leaf_budget=budget)
     return random_caterpillar(cfg, rng=rng)
+
+
+def nx_is_caterpillar(g: nx.Graph) -> bool:
+    """Caterpillar test independent of the package: order >= 3, and the non-leaves induce a path."""
+    if g.number_of_nodes() < 3:
+        return False
+    inner = g.subgraph(v for v, d in g.degree() if d > 1)
+    if inner.number_of_nodes() == 0:
+        return False
+    return nx.is_connected(inner) and all(d <= 2 for _, d in inner.degree())

@@ -324,8 +324,18 @@ class TestVerify:
                 {"path": lambda doc: [doc["path"][0], doc["path"][-1]]},
                 "vertices 4 and 3 are not joined by an arc",
             ),
+            (
+                "1 1 2",
+                0,
+                (0, 2),
+                ["degree_one_range", "u0_weight"],
+                {"k1": lambda doc: 1},
+                "k1, k2 must be 2, 4 for m=6 and r=4, got 1, 4",
+            ),
+            # no violation to hide, but the class intervals of another split are not checked either
+            ("1 1", 0, None, [], {"k2": lambda doc: 1}, "k1, k2 must be 1, 2 for m=3 and r=2, got 1, 1"),
         ],
-        ids=["classes_without_heavy", "path_of_the_two_ends"],
+        ids=["classes_without_heavy", "path_of_the_two_ends", "k1_below_the_split", "k2_below_the_split"],
     )
     def test_class_data_cannot_hide_violations(
         self, capsys, monkeypatch, line, seed, swap, violations, patch, message
@@ -333,11 +343,13 @@ class TestVerify:
         argv = ["construct", "-", "--format", "json", "--seed", str(seed)]
         doc = json.loads(run(capsys, monkeypatch, argv, stdin=line)[1])
         del doc["sums"]
-        a, b = (doc["arcs"][i] for i in swap)
-        a["label"], b["label"] = b["label"], a["label"]
+        if swap is not None:
+            a, b = (doc["arcs"][i] for i in swap)
+            a["label"], b["label"] = b["label"], a["label"]
         code, out, _ = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
-        assert (code, json.loads(out)["violations"]) == (EXIT_VERIFY_FAIL, violations)
-        # classes or a path that leave out the failing vertices are refused, not passed
+        expected = EXIT_VERIFY_FAIL if violations else EXIT_OK
+        assert (code, json.loads(out)["violations"]) == (expected, violations)
+        # classes, a path or a split that would keep the failing vertices out of the checks are refused
         doc.update({key: value(doc) for key, value in patch.items()})
         code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
         assert (code, out) == (EXIT_INPUT, "")
@@ -459,6 +471,7 @@ class TestOracle:
         (["stress", "--jobs", "0"], None),
         (["stress", "--count", "-1"], None),
         (["gen", "--random", "--count", "-1"], None),
+        (["stress", "--jobs", "2"], None),
     ],
 )
 def test_bad_numeric_input(capsys, monkeypatch, argv, env_cap):
@@ -644,9 +657,3 @@ class TestStress:
         code, out, _ = run(capsys, monkeypatch, ["stress", "--count", "3", "--seed", "2"])
         assert code == EXIT_INTERNAL
         assert json.loads(out)["violations"] == ["planted"]  # instance 0, printed before instance 1 ran
-
-    def test_parallel_matches_serial(self, capsys, monkeypatch):
-        base = ["stress", "--count", "12", "--max-m", "30", "--seed", "5"]
-        _, serial, _ = run(capsys, monkeypatch, base)
-        _, parallel, _ = run(capsys, monkeypatch, base + ["--jobs", "4"])
-        assert serial == parallel

@@ -18,6 +18,8 @@ from antimagic.generators import (
     random_caterpillar,
 )
 
+from conftest import nx_is_caterpillar
+
 
 class TestEnumerate:
     def test_order_3(self):
@@ -45,14 +47,6 @@ class TestEnumerate:
     def test_count_matches_tree_filter(self, max_n):
         # independent count: filter all nonisomorphic trees through an
         # independent caterpillar predicate
-        def nx_is_caterpillar(g):
-            if g.number_of_nodes() < 3:
-                return False
-            inner = g.subgraph(v for v, d in g.degree() if d > 1)
-            if inner.number_of_nodes() == 0:
-                return False
-            return nx.is_connected(inner) and all(d <= 2 for _, d in inner.degree())
-
         expected = sum(
             1
             for n in range(3, max_n + 1)

@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import example, given
 
@@ -7,13 +10,12 @@ from antimagic.graph_core import (
     Tree,
     format_leaf_counts,
     is_caterpillar,
-    leaves,
     longest_path_decomposition,
     parse_caterpillar,
     parse_leaf_counts,
 )
 
-from conftest import caterpillars
+from conftest import caterpillars, nx_is_caterpillar
 
 
 def path_tree(n):
@@ -112,15 +114,6 @@ class TestDegreeAndLeaves:
         # edge-scan oracle
         assert sum(1 for u, v in FIVE_EDGE.edges if 2 in (u, v)) == 3
 
-    def test_path_leaves(self):
-        assert leaves(path_tree(3)) == {0, 2}
-
-    def test_star_leaves(self):
-        assert leaves(star_tree(4)) == {1, 2, 3, 4}
-
-    def test_five_edge_leaves(self):
-        assert leaves(FIVE_EDGE) == {0, 4, 5}
-
 
 class TestParseCaterpillar:
     def test_p3(self):
@@ -180,6 +173,24 @@ class TestIsCaterpillar:
         c = is_caterpillar(FIVE_EDGE)
         assert c is not None
         assert c.leaf_counts == (1, 1, 1)
+
+    def test_every_tree_under_relabelling(self):
+        # every tree of order 3..12, its vertices renamed at random, against
+        # networkx's predicate; an accepted tree comes back isomorphic to itself
+        rng = random.Random(12)
+        checked = accepted = 0
+        for n in range(3, 13):
+            for g in nx.nonisomorphic_trees(n):
+                names = list(range(n))
+                rng.shuffle(names)
+                t = Tree(n=n, edges=tuple((names[u], names[v]) for u, v in g.edges))
+                c = is_caterpillar(t)
+                assert (c is not None) == nx_is_caterpillar(g), t.edges
+                if c is not None:
+                    assert nx.is_isomorphic(nx.Graph(c.tree.edges), nx.Graph(t.edges)), t.edges
+                    accepted += 1
+                checked += 1
+        assert (checked, accepted) == (985, 558)  # 558 = len(enumerate_caterpillars(12))
 
     @given(caterpillars())
     def test_round_trip(self, c):
