@@ -17,7 +17,7 @@ import traceback
 from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, permutations
 from operator import itemgetter
 
 from . import oracle as oracle_mod
@@ -47,8 +47,8 @@ EXIT_REFUSED = 4
 # construct and oracle refuse an input line with more edges than this, stress
 # a --max-m above it, gen --random a largest m above it. At m = 10^6 (spine
 # m/3; Python 3.11, 2 vCPUs, stdout to a file), construct --format json takes
-# ~11 s of CPU and peaks at ~590 MB resident, and verify of its output ~8 s
-# and ~585 MB.
+# ~11 s of CPU and peaks at ~590 MB resident, and verify of its output, read
+# from a file, ~8 s and ~425 MB.
 MAX_EDGES = 2_000_000
 
 # gen refuses a --max-n above this. There are 2^(n-4) + 2^((n-4)//2)
@@ -58,6 +58,7 @@ MAX_EDGES = 2_000_000
 MAX_ORDER = 24
 
 CLASS_NAMES = {c: c.value for c in VertexClass}
+CLASS_OF = {name: c for c, name in CLASS_NAMES.items()}
 
 
 @dataclass
@@ -172,8 +173,21 @@ def _ints(values: Collection[object]) -> None:
             _int(value)
 
 
-def _object(pairs: list[tuple[str, object]]) -> dict:
-    """A decoded JSON object; InputError if a key repeats, since the last one would silently win."""
+# For each order of an arc object's three keys, where from, to and label sit in it.
+ARC_KEYS = ("from", "to", "label")
+ARC_ORDERS = {keys: tuple(map(keys.index, ARC_KEYS)) for keys in permutations(ARC_KEYS)}
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict | tuple:
+    """A decoded JSON object; InputError if a key repeats, since the last one would silently win.
+
+    An object whose keys are exactly from, to and label, in any order, is
+    returned as the pair ((from, to), label) without a dict being built.
+    """
+    if len(pairs) == 3:
+        at = ARC_ORDERS.get((pairs[0][0], pairs[1][0], pairs[2][0]))
+        if at is not None:  # three distinct keys, so none repeats
+            return (pairs[at[0]][1], pairs[at[1]][1]), pairs[at[2]][1]
     obj = dict(pairs)
     if len(obj) != len(pairs):
         key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
@@ -181,14 +195,24 @@ def _object(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def _arc(arc: object) -> tuple:
+    """An arc as ((from, to), label): as `_object` decoded it, or read by key from an object it left a dict."""
+    if type(arc) is tuple:
+        return arc
+    return (arc["from"], arc["to"]), arc["label"]
+
+
 def _labeling_from_json(doc: dict) -> OrientedLabeling:
     """The labeling in doc; takes doc's arcs out of it, so they are not kept alive through validation."""
     try:
         n = _int(doc["n"])
         raw = doc.pop("arcs")
-        arcs = tuple(map(itemgetter("from", "to"), raw))
+        if type(raw) is not list:  # an arc-shaped object would iterate as its two parts
+            raise TypeError(f"arcs must be an array, got {type(raw).__name__}")
+        raw = list(map(_arc, raw))
+        arcs = tuple(map(itemgetter(0), raw))
         _ints(list(chain.from_iterable(arcs)))
-        labels = tuple(map(itemgetter("label"), raw))
+        labels = tuple(map(itemgetter(1), raw))
         _ints(labels)
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad labeling JSON: {exc}") from exc
@@ -206,8 +230,9 @@ def _labeling_from_json(doc: dict) -> OrientedLabeling:
 def _class_args_from_json(doc: dict, ol: OrientedLabeling) -> tuple | None:
     """classes, path, k1, k2 for `check_class_intervals`; None if the document has none of them.
 
-    classes names the class of each of the n vertices in vertex order; path is
-    a path of the tree, and holds every light and heavy vertex.
+    classes gives the class of each of the n vertices in vertex order, by name
+    or as a VertexClass; path is a path of the tree, and holds every light and
+    heavy vertex.
     """
     keys = ("classes", "path", "k1", "k2")
     missing = [key for key in keys if key not in doc]
@@ -215,12 +240,14 @@ def _class_args_from_json(doc: dict, ol: OrientedLabeling) -> tuple | None:
         return None
     if missing:
         raise InputError(f"{', '.join(keys)} come together; missing {', '.join(missing)}")
+    if ol.m < 2:
+        raise InputError(f"classes, path, k1 and k2 need the split of [1, m], defined for m >= 2; got m={ol.m}")
     n, classes, path = ol.n, doc["classes"], doc["path"]
     if not isinstance(classes, list) or len(classes) != n or not isinstance(path, list) or not path:
         raise InputError(f"classes must be a list of n={n} class names, and path a non-empty list")
-    by_name = {c.value: c for c in VertexClass}
     try:
-        classes = [by_name[c] for c in classes]
+        if not set(map(type, classes)) <= {VertexClass}:  # names, as cmd_verify leaves a list with an unknown one
+            classes = [CLASS_OF[c] for c in classes]
         _ints(path)
         k1, k2 = _int(doc["k1"]), _int(doc["k2"])
     except KeyError as exc:
@@ -262,6 +289,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON: {exc}") from exc
     del text  # not kept alive next to the document
+    # The class names are freed before the labeling is validated. A list the
+    # lookup fails on is left for _class_args_from_json to refuse, after the
+    # labeling's own errors.
+    names = doc.get("classes") if type(doc) is dict else None
+    if type(names) is list:
+        try:
+            doc["classes"] = [CLASS_OF[c] for c in names]
+        except (KeyError, TypeError):
+            pass
+    del names
     # Each part of the document is dropped once read: arcs, classes, sums.
     ol = _labeling_from_json(doc)
     class_args = _class_args_from_json(doc, ol)

@@ -4,7 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s`. The full suite takes a few
 minutes; the bulk is the oracle cross-validation sampling.
 """
 
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import pytest
 
@@ -57,16 +60,22 @@ def test_criterion_1_theorem_scale_property_suite(suite_results):
     print("\nACCEPTANCE C1 (construct verifies on 558 enumerated + 10000 random): PASS")
 
 
+def oracle_checks(i, c):
+    """Instance i's confirmation, all-pairs mismatches (None above m = 6) and random-pair mismatches."""
+    confirmed = confirm_construction(c, seed=0)
+    all_pairs = agreement_on_all_pairs(c.tree)[1] if c.m <= 6 else None
+    return confirmed, all_pairs, agreement_on_random_pairs(c.tree, SAMPLED_PAIRS_PER_INSTANCE, seed=i)
+
+
 def test_criterion_2_oracle_cross_validation():
     small = list(enumerate_caterpillars(9))  # every caterpillar with m <= 8
-    for c in small:
-        assert confirm_construction(c, seed=0)
-    for c in small:
-        if c.m <= 6:
-            _, mismatches = agreement_on_all_pairs(c.tree)
-            assert mismatches == 0, c.leaf_counts
-    for i, c in enumerate(small):
-        assert agreement_on_random_pairs(c.tree, SAMPLED_PAIRS_PER_INSTANCE, seed=i) == 0
+    workers = min(os.cpu_count() or 1, len(small))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+        results = list(pool.map(oracle_checks, range(len(small)), small))
+    for c, (confirmed, all_pairs, random_mismatches) in zip(small, results):  # in instance order
+        assert confirmed, c.leaf_counts
+        assert all_pairs in (None, 0), c.leaf_counts
+        assert random_mismatches == 0, c.leaf_counts
     print(f"\nACCEPTANCE C2 (oracle cross-validation, {len(small)} instances): PASS")
 
 

@@ -276,6 +276,17 @@ class TestVerify:
             ({"path": lambda doc: doc["path"][::2]}, "not joined by an arc"),
             ({"path": lambda doc: [*doc["path"], doc["path"][-2]]}, "repeats"),
             ({"path": lambda doc: doc["path"][:2]}, "not on the path"),
+            # a labeling error is reported before a class error
+            ({"n": 7, "classes": lambda doc: ["medium", *doc["classes"][1:]]}, "do not form a tree"),
+            # an arc-shaped object in place of the arcs would iterate as its two parts
+            (
+                {
+                    "n": 3,
+                    "arcs": {"from": [1, 2], "to": 2, "label": {"from": 0, "to": 1, "label": 1, "x": 0}},
+                    **dict.fromkeys(["sums", "classes", "path", "k1", "k2"]),
+                },
+                "arcs must be an array, got tuple",
+            ),
         ],
     )
     def test_malformed_document(self, capsys, monkeypatch, patch, message):
@@ -354,6 +365,57 @@ class TestVerify:
         code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
         assert (code, out) == (EXIT_INPUT, "")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 1, "arcs": [], "classes": ["leaf"], "path": [0], "k1": 1, "k2": -1},
+            {
+                "n": 2,
+                "arcs": [{"from": 0, "to": 1, "label": 1}],
+                "classes": ["path_end_leaf", "path_end_leaf"],
+                "path": [0, 1],
+                "k1": 0,
+                "k2": 1,
+            },
+        ],
+        ids=["one_vertex", "one_edge"],
+    )
+    def test_class_data_needs_two_edges(self, capsys, monkeypatch, doc):
+        # the paper's split of [1, m] is defined only for m >= 2
+        code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"defined for m >= 2; got m={len(doc['arcs'])}" in err
+        del doc["classes"], doc["path"], doc["k1"], doc["k2"]
+        assert run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))[0] == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "change, code, err",
+        [
+            (lambda doc: doc["arcs"][0].update(extra=1), EXIT_OK, ""),
+            (lambda doc: doc["arcs"].__setitem__(0, dict(reversed(doc["arcs"][0].items()))), EXIT_OK, ""),
+            (lambda doc: doc["arcs"][0].pop("label"), EXIT_INPUT, "input error: bad labeling JSON: 'label'\n"),
+            (
+                lambda doc: doc["arcs"].__setitem__(0, list(doc["arcs"][0].values())),
+                EXIT_INPUT,
+                "input error: bad labeling JSON: list indices must be integers or slices, not str\n",
+            ),
+            (lambda doc: doc["path"].__setitem__(0, {"from": 0, "to": 1, "label": 1}), EXIT_INPUT, None),
+            (lambda doc: doc["classes"].__setitem__(0, {"from": 0, "to": 1, "label": 1}), EXIT_INPUT, None),
+        ],
+        ids=["extra_key", "reversed_keys", "no_label", "list_arc", "arc_in_path", "arc_in_classes"],
+    )
+    def test_arc_decoding(self, capsys, monkeypatch, change, code, err):
+        doc = self.construct_json(capsys, monkeypatch, "1 1 1\n")
+        change(doc)
+        got_code, out, got_err = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
+        assert got_code == code
+        if code == EXIT_OK:
+            assert json.loads(out)["violations"] == [] and got_err == ""
+        elif err is None:  # the message may name the object as decoded
+            assert (out, got_err[:12]) == ("", "input error:")
+        else:
+            assert (out, got_err) == ("", err)
 
     @reuses_fixtures
     @given(
@@ -589,7 +651,7 @@ class TestMemory:
         )
         verify_peak, _ = self.peak_per_edge(monkeypatch, ["verify", "-"], doc)
         assert construct_peak < 700
-        assert verify_peak < 510
+        assert verify_peak < 450
 
 
 class TestGen:
