@@ -57,8 +57,7 @@ MAX_EDGES = 2_000_000
 # 2 vCPUs).
 MAX_ORDER = 24
 
-CLASS_NAMES = {c: c.value for c in VertexClass}
-CLASS_OF = {name: c for c, name in CLASS_NAMES.items()}
+CLASS_OF = {c.value: c for c in VertexClass}
 
 
 @dataclass
@@ -107,15 +106,23 @@ def _read_instances(path: str | None) -> list[Caterpillar]:
     return out
 
 
+# An arc in a JSON document is an object with exactly these keys; for each of
+# their orders, where from, to and label sit in it.
+ARC_KEYS = ("from", "to", "label")
+ARC_ORDERS = {keys: tuple(map(keys.index, ARC_KEYS)) for keys in permutations(ARC_KEYS)}
+
+
+def _arc_objects(ol: OrientedLabeling) -> list[dict]:
+    """The arcs of ol as a document writes them."""
+    return [{"from": tail, "to": head, "label": lbl} for (tail, head), lbl in zip(ol.arcs, ol.labels)]
+
+
 def labeling_to_json(ol: OrientedLabeling, trace: ConstructionTrace) -> dict:
     return {
         "n": ol.n,
-        "arcs": [
-            {"from": tail, "to": head, "label": lbl}
-            for (tail, head), lbl in zip(ol.arcs, ol.labels)
-        ],
+        "arcs": _arc_objects(ol),
         "sums": oriented_sums(ol),
-        "classes": [CLASS_NAMES[c] for c in trace.classes],
+        "classes": [c._value_ for c in trace.classes],
         "path": list(trace.decomposition.path),
         "k1": trace.partition.k1,
         "k2": trace.partition.k2,
@@ -138,7 +145,7 @@ def _render_tsv(ol: OrientedLabeling, trace: ConstructionTrace) -> str:
     sums = oriented_sums(ol)
     rows = [f"arc\t{tail}\t{head}\t{lbl}" for (tail, head), lbl in zip(ol.arcs, ol.labels)]
     rows += [f"sum\t{v}\t{sums[v]}" for v in range(ol.n)]
-    rows += [f"class\t{v}\t{CLASS_NAMES[cls]}" for v, cls in enumerate(trace.classes)]
+    rows += [f"class\t{v}\t{cls._value_}" for v, cls in enumerate(trace.classes)]
     return "\n".join(rows)
 
 
@@ -173,11 +180,6 @@ def _ints(values: Collection[object]) -> None:
             _int(value)
 
 
-# For each order of an arc object's three keys, where from, to and label sit in it.
-ARC_KEYS = ("from", "to", "label")
-ARC_ORDERS = {keys: tuple(map(keys.index, ARC_KEYS)) for keys in permutations(ARC_KEYS)}
-
-
 def _object(pairs: list[tuple[str, object]]) -> dict | tuple:
     """A decoded JSON object; InputError if a key repeats, since the last one would silently win.
 
@@ -195,21 +197,15 @@ def _object(pairs: list[tuple[str, object]]) -> dict | tuple:
     return obj
 
 
-def _arc(arc: object) -> tuple:
-    """An arc as ((from, to), label): as `_object` decoded it, or read by key from an object it left a dict."""
-    if type(arc) is tuple:
-        return arc
-    return (arc["from"], arc["to"]), arc["label"]
-
-
 def _labeling_from_json(doc: dict) -> OrientedLabeling:
     """The labeling in doc; takes doc's arcs out of it, so they are not kept alive through validation."""
     try:
         n = _int(doc["n"])
         raw = doc.pop("arcs")
-        if type(raw) is not list:  # an arc-shaped object would iterate as its two parts
-            raise TypeError(f"arcs must be an array, got {type(raw).__name__}")
-        raw = list(map(_arc, raw))
+        # `_object` decoded each well-formed arc as a pair; an arc-shaped object
+        # in place of the array would iterate as its two parts.
+        if type(raw) is not list or not set(map(type, raw)) <= {tuple}:
+            raise TypeError("arcs must be an array of objects whose keys are exactly from, to and label")
         arcs = tuple(map(itemgetter(0), raw))
         _ints(list(chain.from_iterable(arcs)))
         labels = tuple(map(itemgetter(1), raw))
@@ -230,9 +226,8 @@ def _labeling_from_json(doc: dict) -> OrientedLabeling:
 def _class_args_from_json(doc: dict, ol: OrientedLabeling) -> tuple | None:
     """classes, path, k1, k2 for `check_class_intervals`; None if the document has none of them.
 
-    classes gives the class of each of the n vertices in vertex order, by name
-    or as a VertexClass; path is a path of the tree, and holds every light and
-    heavy vertex.
+    classes gives the VertexClass of each of the n vertices in vertex order;
+    path is a path of the tree, and holds every light and heavy vertex.
     """
     keys = ("classes", "path", "k1", "k2")
     missing = [key for key in keys if key not in doc]
@@ -246,12 +241,8 @@ def _class_args_from_json(doc: dict, ol: OrientedLabeling) -> tuple | None:
     if not isinstance(classes, list) or len(classes) != n or not isinstance(path, list) or not path:
         raise InputError(f"classes must be a list of n={n} class names, and path a non-empty list")
     try:
-        if not set(map(type, classes)) <= {VertexClass}:  # names, as cmd_verify leaves a list with an unknown one
-            classes = [CLASS_OF[c] for c in classes]
         _ints(path)
         k1, k2 = _int(doc["k1"]), _int(doc["k2"])
-    except KeyError as exc:
-        raise InputError(f"classes: unknown class {exc}") from exc
     except TypeError as exc:
         raise InputError(f"bad classes, path, k1 or k2: {exc}") from exc
     # The paper's split for this tree: k1 = ceil((m-r+1)/2), k2 = ceil((m+r)/2) - 1,
@@ -289,15 +280,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON: {exc}") from exc
     del text  # not kept alive next to the document
-    # The class names are freed before the labeling is validated. A list the
-    # lookup fails on is left for _class_args_from_json to refuse, after the
-    # labeling's own errors.
-    names = doc.get("classes") if type(doc) is dict else None
+    if type(doc) is not dict:
+        raise InputError(f"the document must be a JSON object, got {type(doc).__name__}")
+    # The class names are checked, and freed, before the labeling is validated.
+    names = doc.get("classes")
     if type(names) is list:
         try:
             doc["classes"] = [CLASS_OF[c] for c in names]
-        except (KeyError, TypeError):
-            pass
+        except KeyError as exc:
+            raise InputError(f"classes: unknown class {exc}") from exc
+        except TypeError as exc:
+            raise InputError(f"bad classes: {exc}") from exc
     del names
     # Each part of the document is dropped once read: arcs, classes, sums.
     ol = _labeling_from_json(doc)
@@ -359,12 +352,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "orientations_with_solution": res.orientations_with_solution,
             "total_antimagic_pairs": res.total_antimagic_pairs,
             "pairs_enumerated": res.pairs_enumerated,
-            "witness": None
-            if res.witness is None
-            else [
-                {"from": t, "to": h, "label": l}
-                for (t, h), l in zip(res.witness.arcs, res.witness.labels)
-            ],
+            "witness": None if res.witness is None else _arc_objects(res.witness),
         }
         print(json.dumps(doc))
     return EXIT_OK if all_found else EXIT_VERIFY_FAIL

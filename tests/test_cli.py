@@ -134,6 +134,11 @@ class TestConstruct:
         assert doc["k1"] == 2 and doc["k2"] == 3
 
 
+BAD_ARCS = (
+    "input error: bad labeling JSON: arcs must be an array of objects whose keys are exactly from, to and label\n"
+)
+
+
 class TestVerify:
     def construct_json(self, capsys, monkeypatch, line):
         _, out, _ = run(
@@ -276,8 +281,8 @@ class TestVerify:
             ({"path": lambda doc: doc["path"][::2]}, "not joined by an arc"),
             ({"path": lambda doc: [*doc["path"], doc["path"][-2]]}, "repeats"),
             ({"path": lambda doc: doc["path"][:2]}, "not on the path"),
-            # a labeling error is reported before a class error
-            ({"n": 7, "classes": lambda doc: ["medium", *doc["classes"][1:]]}, "do not form a tree"),
+            # class names are checked as soon as the document is read, before the labeling
+            ({"n": 7, "classes": lambda doc: ["medium", *doc["classes"][1:]]}, "unknown class 'medium'"),
             # an arc-shaped object in place of the arcs would iterate as its two parts
             (
                 {
@@ -285,8 +290,11 @@ class TestVerify:
                     "arcs": {"from": [1, 2], "to": 2, "label": {"from": 0, "to": 1, "label": 1, "x": 0}},
                     **dict.fromkeys(["sums", "classes", "path", "k1", "k2"]),
                 },
-                "arcs must be an array, got tuple",
+                "arcs must be an array",
             ),
+            # an arc has exactly the keys from, to and label
+            ({"arcs": lambda doc: [*doc["arcs"][:-1], {**doc["arcs"][-1], "x": 0}]}, "arcs must be an array"),
+            ({"arcs": lambda doc: [*doc["arcs"][:-1], {"from": 5, "to": 4}]}, "arcs must be an array"),
         ],
     )
     def test_malformed_document(self, capsys, monkeypatch, patch, message):
@@ -392,14 +400,10 @@ class TestVerify:
     @pytest.mark.parametrize(
         "change, code, err",
         [
-            (lambda doc: doc["arcs"][0].update(extra=1), EXIT_OK, ""),
+            (lambda doc: doc["arcs"][0].update(extra=1), EXIT_INPUT, BAD_ARCS),
             (lambda doc: doc["arcs"].__setitem__(0, dict(reversed(doc["arcs"][0].items()))), EXIT_OK, ""),
-            (lambda doc: doc["arcs"][0].pop("label"), EXIT_INPUT, "input error: bad labeling JSON: 'label'\n"),
-            (
-                lambda doc: doc["arcs"].__setitem__(0, list(doc["arcs"][0].values())),
-                EXIT_INPUT,
-                "input error: bad labeling JSON: list indices must be integers or slices, not str\n",
-            ),
+            (lambda doc: doc["arcs"][0].pop("label"), EXIT_INPUT, BAD_ARCS),
+            (lambda doc: doc["arcs"].__setitem__(0, list(doc["arcs"][0].values())), EXIT_INPUT, BAD_ARCS),
             (lambda doc: doc["path"].__setitem__(0, {"from": 0, "to": 1, "label": 1}), EXIT_INPUT, None),
             (lambda doc: doc["classes"].__setitem__(0, {"from": 0, "to": 1, "label": 1}), EXIT_INPUT, None),
         ],
@@ -416,6 +420,21 @@ class TestVerify:
             assert (out, got_err[:12]) == ("", "input error:")
         else:
             assert (out, got_err) == ("", err)
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("[1, 2]", "list"),
+            ('{"from": 0, "to": 1, "label": 1}', "tuple"),  # decoded as an arc
+            ("3", "int"),
+            ('"n"', "str"),
+            ("null", "NoneType"),
+        ],
+    )
+    def test_document_must_be_an_object(self, capsys, monkeypatch, text, name):
+        code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=text)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"input error: the document must be a JSON object, got {name}\n"
 
     @reuses_fixtures
     @given(
@@ -510,6 +529,17 @@ class TestOracle:
         doc = json.loads(out)
         assert doc["orientations_with_solution"] == 2
         assert doc["pairs_enumerated"] == 8
+
+    def test_witness_is_a_verified_document(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["oracle", "-", "--count-all"], stdin="2\n1 1\n")
+        assert code == EXIT_OK
+        results = [json.loads(line) for line in out.splitlines()]
+        assert [r["m"] for r in results] == [2, 3]
+        for r in results:
+            doc = {"n": r["m"] + 1, "arcs": r["witness"]}
+            code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
+            assert (code, err) == (EXIT_OK, "")
+            assert json.loads(out)["antimagic"] is True
 
     def test_cap_refusal(self, capsys, monkeypatch):
         code, _, err = run(
