@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from antimagic import cli
+from antimagic import cli, construction
 from antimagic.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -243,6 +243,16 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert out == ""
         assert "expected an integer" in err
+
+    def test_huge_n_refused_from_the_edge_count(self, capsys, monkeypatch):
+        # nothing n-sized is built before the arc count is compared with n - 1
+        doc = {"n": 10**12, "arcs": [{"from": 0, "to": 1, "label": 1}, {"from": 1, "to": 2, "label": 2}]}
+        code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (
+            "input error: arcs do not form a tree: "
+            "a tree on n=1000000000000 vertices needs 999999999999 edges, got 2\n"
+        )
 
     def test_schema_violation(self, capsys, monkeypatch):
         code, _, _ = run(capsys, monkeypatch, ["verify", "-"], stdin="{\"arcs\": 3}")
@@ -610,6 +620,20 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert (code, out) == (EXIT_INTERNAL, "")
     assert err.startswith("internal error: ZeroDivisionError: boom (at test_cli.py:")
     assert err.endswith(" in fails)\n")
+
+
+def test_unlabeled_edge_is_an_invariant_violation(capsys, monkeypatch):
+    label_heavy_edges = construction.label_heavy_edges
+
+    def drops_a_label(*args):
+        labels, *rest = label_heavy_edges(*args)
+        labels.popitem()
+        return labels, *rest
+
+    monkeypatch.setattr(construction, "label_heavy_edges", drops_a_label)
+    code, out, err = run(capsys, monkeypatch, ["construct", "-", "--format", "json"], stdin="1 1 1\n")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == "internal invariant violation: an off-path edge was never labeled\n"
 
 
 def test_closed_pipe_ends_quietly():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antimagic import construction
 from antimagic.construction import (
     compute_label_partition,
     construct,
@@ -10,8 +11,10 @@ from antimagic.construction import (
 )
 from antimagic.graph_core import (
     InputError,
+    InvariantViolation,
     VertexClass,
     parse_caterpillar,
+    parse_leaf_counts,
 )
 from antimagic.verification import check_claims, check_weight_classes, oriented_sums, verify_antimagic
 
@@ -279,3 +282,16 @@ class TestConstructProperties:
         p = trace.partition
         n_heavy_edges = len(trace.decomposition.nonpath_edges) - trace.n_l
         assert (p.k2 - trace.n_l) - (p.k1 + 1) + 1 == n_heavy_edges
+
+    @pytest.mark.parametrize("line", ["1 1 1", "1 3 0 2", "4"])
+    def test_unlabeled_edge_is_an_invariant_violation(self, monkeypatch, line):
+        label_heavy_edges = construction.label_heavy_edges
+
+        def drops_a_label(*args):
+            labels, *rest = label_heavy_edges(*args)
+            labels.popitem()
+            return labels, *rest
+
+        monkeypatch.setattr(construction, "label_heavy_edges", drops_a_label)
+        with pytest.raises(InvariantViolation, match="^an off-path edge was never labeled$"):
+            construct(parse_caterpillar(parse_leaf_counts(line)))

@@ -3,6 +3,7 @@ import random
 import networkx as nx
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from antimagic.graph_core import (
     InputError,
@@ -24,6 +25,39 @@ def path_tree(n):
 
 def star_tree(k):
     return Tree(n=k + 1, edges=tuple((0, i) for i in range(1, k + 1)))
+
+
+@st.composite
+def pair_lists(draw):
+    """n and a short list of vertex pairs: a random tree on 0..n-1, then up to three random edits.
+
+    Edits replace, insert or delete a pair, with vertices from -1 to n + 1, so
+    the lists include self-loops, repeated pairs, out-of-range vertices,
+    cycles and wrong counts.
+    """
+    n = draw(st.integers(0, 7))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(-1, n + 1)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert" or not pairs:
+            pairs.insert(draw(st.integers(0, len(pairs))), (draw(vertex), draw(vertex)))
+        elif edit == "replace":
+            pairs[draw(st.integers(0, len(pairs) - 1))] = (draw(vertex), draw(vertex))
+        else:
+            del pairs[draw(st.integers(0, len(pairs) - 1))]
+    pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in draw(st.permutations(pairs))]
+    return n, tuple(pairs)
+
+
+def is_tree_reference(n, pairs):
+    """networkx's verdict on the multigraph with vertices 0..n-1 and the given pairs."""
+    if n < 1 or not all(0 <= x < n for pair in pairs for x in pair):
+        return False
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(pairs)
+    return nx.is_tree(g)
 
 
 # The 5-edge caterpillar used across the construction tests: path u0..u4 with
@@ -72,6 +106,20 @@ class TestTree:
     def test_single_vertex(self):
         assert Tree(n=1, edges=()).edges == ()
 
+    @given(pair_lists())
+    @example((1, ()))
+    @example((3, ((0, 5), (5, 0))))
+    @example((2, ((1, 1),)))
+    def test_accepts_exactly_trees(self, case):
+        n, pairs = case
+        try:
+            Tree(n=n, edges=pairs)
+        except InputError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == is_tree_reference(n, pairs)
+
 
 class TestOrientedLabeling:
     def test_accepts_any_orientation(self):
@@ -95,6 +143,7 @@ class TestOrientedLabeling:
             (3, ((-1, 0), (0, 1)), (1, 2), r"arc \(-1,0\) out of range for n=3"),
             (3, ((0, 1), (3, 2)), (1, 2), r"arc \(3,2\) out of range for n=3"),
             (3, ((0, 1), (1, 3), (-2, 0)), (1, 2, 3), r"arc \(1,3\) out of range for n=3"),  # first in order
+            (3, ((0, 5), (1, 2)), (1, 2), r"arc \(0,5\) out of range for n=3"),  # 0*3+5 == 1*3+2
         ],
     )
     def test_rejection_messages(self, n, arcs, labels, message):

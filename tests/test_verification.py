@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from antimagic.construction import construct
-from antimagic.graph_core import InputError, OrientedLabeling, parse_caterpillar
+from antimagic.graph_core import InputError, OrientedLabeling, parse_caterpillar, parse_leaf_counts
 from antimagic.verification import (
     check_claims,
     check_weight_classes,
@@ -89,6 +89,51 @@ class TestWeightClasses:
         bad = OrientedLabeling(n=ol.n, arcs=ol.arcs, labels=tuple(labels))
         report = check_weight_classes(bad, trace)
         assert report.violations
+
+    @pytest.mark.parametrize(
+        "line, swap, violations",
+        [
+            (
+                "1 0 0 0 1 1",
+                (0, 4),
+                [
+                    "light_not_distinct",
+                    "degree_one_range",
+                    "heavy_no_heavy_edge_not_distinct",
+                    "heavy_no_heavy_edge_not_decreasing",
+                    "u0_weight",
+                    "class_ranges_overlap",
+                    "all_weights_not_distinct",
+                ],
+            ),
+            (
+                "1 0 1 1 1",
+                (0, 4),
+                [
+                    "degree_one_range",
+                    "heavy_no_heavy_edge_not_distinct",
+                    "heavy_with_heavy_edge_not_distinct",
+                    "heavy_no_heavy_edge_not_decreasing",
+                    "u0_weight",
+                    "all_weights_not_distinct",
+                ],
+            ),
+            ("1 0 0 0 1 1", (5, 7), ["light_not_distinct", "all_weights_not_distinct"]),
+            # weights still pairwise distinct: ranges and order only
+            ("1 1", (0, 2), ["heavy_no_heavy_edge_range", "heavy_with_heavy_edge_range", "u0_weight"]),
+            ("2 0 0 2", (1, 3), ["heavy_no_heavy_edge_not_decreasing"]),
+        ],
+    )
+    def test_violation_lists(self, line, swap, violations):
+        # the whole list, in order, for labelings with two labels swapped (construction seed 0)
+        ol, trace = construct(parse_caterpillar(parse_leaf_counts(line)))
+        labels = list(ol.labels)
+        i, j = swap
+        labels[i], labels[j] = labels[j], labels[i]
+        bad = OrientedLabeling(n=ol.n, arcs=ol.arcs, labels=tuple(labels))
+        report = check_weight_classes(bad, trace)
+        assert report.violations == violations
+        assert report.antimagic == verify_antimagic(bad)
 
     @given(caterpillars(), st.integers(0, 5))
     def test_class_intervals_nested(self, c, seed):
