@@ -34,6 +34,7 @@ from .graph_core import (
     format_leaf_counts,
     parse_caterpillar,
     parse_leaf_counts,
+    spans_tree,
 )
 from .verification import check_claims, check_class_intervals, check_weight_classes
 from .verification import oriented_sums, verify_antimagic
@@ -47,8 +48,8 @@ EXIT_REFUSED = 4
 # construct and oracle refuse an input line with more edges than this, stress
 # a --max-m above it, gen --random a largest m above it. At m = 10^6 (spine
 # m/3; Python 3.11, 2 vCPUs, stdout to a file), construct --format json takes
-# ~11 s of CPU and peaks at ~590 MB resident, and verify of its output, read
-# from a file, ~8 s and ~425 MB.
+# 6-8 s of CPU and peaks at ~550 MB resident, and verify of its output, read
+# from a file, ~4.5 s and ~425 MB.
 MAX_EDGES = 2_000_000
 
 # gen refuses a --max-n above this. There are 2^(n-4) + 2^((n-4)//2)
@@ -131,9 +132,10 @@ def labeling_to_json(ol: OrientedLabeling, trace: ConstructionTrace) -> dict:
 
 def _render_dot(ol: OrientedLabeling, trace: ConstructionTrace) -> str:
     sums = oriented_sums(ol)
+    light = VertexClass.LIGHT
     lines = ["digraph antimagic {"]
     for v, cls in enumerate(trace.classes):
-        style = ', style=filled, fillcolor="lightgrey"' if cls is VertexClass.LIGHT else ""
+        style = ', style=filled, fillcolor="lightgrey"' if cls is light else ""
         lines.append(f'  v{v} [label="{v}\\ns={sums[v]}"{style}];')
     for (tail, head), lbl in zip(ol.arcs, ol.labels):
         lines.append(f'  v{tail} -> v{head} [label="{lbl}"];')
@@ -158,7 +160,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if args.format == "json":
             doc = labeling_to_json(ol, trace)
             del ol, trace  # not kept alive while the document is encoded
-            print(json.dumps(doc))
+            print(json.dumps(doc, check_circular=False))  # the document is a tree of fresh objects
         elif args.format == "dot":
             print(_render_dot(ol, trace))
         else:
@@ -187,9 +189,13 @@ def _object(pairs: list[tuple[str, object]]) -> dict | tuple:
     returned as the pair ((from, to), label) without a dict being built.
     """
     if len(pairs) == 3:
-        at = ARC_ORDERS.get((pairs[0][0], pairs[1][0], pairs[2][0]))
+        (a, x), (b, y), (c, z) = pairs
+        if (a, b, c) == ARC_KEYS:  # the order documents are written in
+            return (x, y), z
+        at = ARC_ORDERS.get((a, b, c))
         if at is not None:  # three distinct keys, so none repeats
-            return (pairs[at[0]][1], pairs[at[1]][1]), pairs[at[2]][1]
+            values = x, y, z
+            return (values[at[0]], values[at[1]]), values[at[2]]
     obj = dict(pairs)
     if len(obj) != len(pairs):
         key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
@@ -213,10 +219,11 @@ def _labeling_from_json(doc: dict) -> OrientedLabeling:
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad labeling JSON: {exc}") from exc
     del raw
-    try:
-        Tree(n, arcs)
-    except InputError as exc:
-        raise InputError(f"arcs do not form a tree: {exc}") from exc
+    if not spans_tree(n, arcs):
+        try:
+            Tree(n, arcs)  # raises, naming the first fault
+        except InputError as exc:
+            raise InputError(f"arcs do not form a tree: {exc}") from exc
     try:
         return OrientedLabeling(n=n, arcs=arcs, labels=labels)
     except InputError as exc:  # the arcs form a tree, so only the labels can be at fault
@@ -255,21 +262,25 @@ def _class_args_from_json(doc: dict, ol: OrientedLabeling) -> tuple | None:
     split = ((m - r + 2) // 2, (m + r + 1) // 2 - 1)
     if (k1, k2) != split:
         raise InputError(f"k1, k2 must be {split[0]}, {split[1]} for m={m} and r={r}, got {k1}, {k2}")
-    outside = [v for v in path if not 0 <= v < n]
-    if outside:
-        raise InputError(f"vertex {outside[0]} out of range for n={n}")
+    if min(path) < 0 or max(path) >= n:
+        outside = next(v for v in path if not 0 <= v < n)
+        raise InputError(f"vertex {outside} out of range for n={n}")
     on_path = set(path)
     if len(on_path) != len(path):
         repeated = next(v for v, count in Counter(path).items() if count > 1)
         raise InputError(f"path: vertex {repeated} repeats")
     steps = {*zip(path, path[1:]), *zip(path[1:], path)}  # each step in both directions
-    steps.intersection_update(ol.arcs)  # a tree has one arc per edge, in one direction
-    for a, b in zip(path, path[1:]):
-        if (a, b) not in steps and (b, a) not in steps:
-            raise InputError(f"path: vertices {a} and {b} are not joined by an arc")
-    for v, c in enumerate(classes):
-        if (c is VertexClass.LIGHT or c is VertexClass.HEAVY) and v not in on_path:
-            raise InputError(f"classes: {c.value} vertex {v} is not on the path")
+    # A tree has one arc per edge, in one direction, and the path's steps are
+    # distinct edges: every step is joined iff one arc meets each.
+    steps.intersection_update(ol.arcs)
+    if len(steps) != len(path) - 1:
+        a, b = next((a, b) for a, b in zip(path, path[1:]) if (a, b) not in steps and (b, a) not in steps)
+        raise InputError(f"path: vertices {a} and {b} are not joined by an arc")
+    light, heavy = VertexClass.LIGHT, VertexClass.HEAVY
+    path_classes = list(map(classes.__getitem__, path))
+    if path_classes.count(light) + path_classes.count(heavy) != classes.count(light) + classes.count(heavy):
+        v, c = next((v, c) for v, c in enumerate(classes) if (c is light or c is heavy) and v not in on_path)
+        raise InputError(f"classes: {c.value} vertex {v} is not on the path")
     return classes, path, k1, k2
 
 

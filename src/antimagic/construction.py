@@ -35,6 +35,11 @@ from .graph_core import (
     longest_path_decomposition,
 )
 
+# The members as plain module names: on Python 3.11 each `VertexClass.LIGHT`
+# read goes through the enum type's __getattr__, ten times the cost of a name.
+LIGHT, HEAVY = VertexClass.LIGHT, VertexClass.HEAVY
+PATH_END_LEAF, NON_PATH_LEAF = VertexClass.PATH_END_LEAF, VertexClass.NON_PATH_LEAF
+
 
 @dataclass(frozen=True)
 class ConstructionTrace:
@@ -88,29 +93,30 @@ def classify_vertices(
     path-end leaves; everything off the path is a plain leaf. The result is
     indexed by vertex.
     """
-    classes = [VertexClass.NON_PATH_LEAF] * (c.m + 1)
-    labels = [0, *(path_labels[e] for e in d.path_edges), 0]  # labels[i]: path edge i-1
+    m = c.m
+    classes = [NON_PATH_LEAF] * (m + 1)
+    labels = [0, *map(path_labels.__getitem__, d.path_edges), 0]  # labels[i]: path edge i-1
     for i, v in enumerate(d.path):
         if i == 0 or (i == d.k and d.trimmed_tail is None):
-            classes[v] = VertexClass.PATH_END_LEAF
-        elif labels[i] + labels[i + 1] < c.m and len(d.offpath_leaves[i]) == 1:
-            classes[v] = VertexClass.LIGHT
+            classes[v] = PATH_END_LEAF
+        elif labels[i] + labels[i + 1] < m and len(d.offpath_leaves[i]) == 1:
+            classes[v] = LIGHT
         else:
-            classes[v] = VertexClass.HEAVY
+            classes[v] = HEAVY
     return classes
 
 
 def orient_path(d: PathDecomposition, classes: list[VertexClass]) -> tuple[bool, ...]:
     """Step 4. Direction flag per path edge; True means u_i -> u_{i+1}."""
     dirs = [True]  # u_0 -> u_1 always
-    for i in range(1, d.k):
-        cls = classes[d.path[i]]
-        if cls is VertexClass.LIGHT:
-            dirs.append(dirs[-1])
-        elif cls is VertexClass.HEAVY:
-            dirs.append(not dirs[-1])
-        else:
-            raise InvariantViolation(f"interior path vertex {d.path[i]} is neither light nor heavy")
+    forward = True
+    for v in d.path[1:d.k]:
+        cls = classes[v]
+        if cls is HEAVY:
+            forward = not forward
+        elif cls is not LIGHT:
+            raise InvariantViolation(f"interior path vertex {v} is neither light nor heavy")
+        dirs.append(forward)
     return tuple(dirs)
 
 
@@ -140,14 +146,20 @@ def orient_nonpath_edges(
             continue
         if s == 0:
             raise InvariantViolation(f"zero oriented path sum at {u} with an off-path edge")
-        if classes[u] is VertexClass.LIGHT:
+        if classes[u] is LIGHT:
             outward = s > 0
-        elif classes[u] is VertexClass.HEAVY:
+        elif classes[u] is HEAVY:
             outward = s < 0
         else:
             raise InvariantViolation(f"off-path edge at unclassified vertex {u}")
-        for w in leaves:  # (u, w) is already an Edge, see PathDecomposition
-            arcs[u, w] = (u, w) if outward else (w, u)
+        # (u, w) is already an Edge, see PathDecomposition
+        if outward:
+            for w in leaves:
+                e = u, w
+                arcs[e] = e
+        else:
+            for w in leaves:
+                arcs[u, w] = w, u
     return arcs
 
 
@@ -162,7 +174,7 @@ def label_light_edges(
     """Step 6: the t-th light vertex (by path weight, ties by index) gets k2 - t + 1."""
     sums = _path_sums(d, dirs, path_labels)
     lights = sorted(
-        (abs(sums[i]), i) for i, v in enumerate(d.path) if classes[v] is VertexClass.LIGHT
+        (abs(sums[i]), i) for i, v in enumerate(d.path) if classes[v] is LIGHT
     )
     labels: dict[Edge, int] = {}
     for t, (_, i) in enumerate(lights, start=1):
@@ -196,7 +208,7 @@ def label_heavy_edges(
     """
     pool = range(p.k1 + 1, p.k2 - len(light_labels) + 1)
     heavy = [
-        i for i, v in enumerate(d.path) if classes[v] is VertexClass.HEAVY and d.offpath_leaves[i]
+        i for i, (v, leaves) in enumerate(zip(d.path, d.offpath_leaves)) if leaves and classes[v] is HEAVY
     ]
     if sum(len(d.offpath_leaves[i]) for i in heavy) != len(pool):
         raise InvariantViolation("heavy-edge count disagrees with the unused label pool")
@@ -204,14 +216,15 @@ def label_heavy_edges(
     shuffled = list(pool)
     rng.shuffle(shuffled)
     sums = _path_sums(d, dirs, path_labels)
+    draw = shuffled.pop
     phase1: dict[Edge, int] = {}
     deferred = []  # (partial weight, path index, vertex, deferred edge)
     for i in heavy:
         u, leaves, s = d.path[i], d.offpath_leaves[i], sums[i]
         for w in leaves[:-1]:
-            lbl = shuffled.pop()
-            phase1[u, w] = lbl
-            s += lbl if nonpath_arcs[u, w][1] == u else -lbl
+            e = u, w
+            phase1[e] = lbl = draw()
+            s += lbl if nonpath_arcs[e][1] == u else -lbl
         deferred.append((abs(s), i, u, (u, leaves[-1])))
     deferred.sort()
 
@@ -236,16 +249,16 @@ def construct(c: Caterpillar, seed: int = 0) -> tuple[OrientedLabeling, Construc
         c, d, p, classes, dirs, path_labels, nonpath_arcs, light_labels, rng
     )
 
-    # Path edges in path order, then off-path edges in sorted order.
+    # Path edges in path order, then off-path edges in sorted order: the order
+    # in which step 5 inserted them.
     arcs = [(u, v) if forward else (v, u) for u, v, forward in zip(d.path, d.path[1:], dirs)]
-    labels = [path_labels[e] for e in d.path_edges]
+    arcs += nonpath_arcs.values()
+    labels = list(map(path_labels.__getitem__, d.path_edges))
     offpath_labels = light_labels | heavy_labels
-    for u, leaves in zip(d.path, d.offpath_leaves):
-        for w in leaves:
-            arcs.append(nonpath_arcs[u, w])
-            labels.append(offpath_labels.get((u, w), 0))
-    if 0 in labels:
-        raise InvariantViolation("an off-path edge was never labeled")
+    try:
+        labels += map(offpath_labels.__getitem__, nonpath_arcs)
+    except KeyError:
+        raise InvariantViolation("an off-path edge was never labeled") from None
 
     ol = OrientedLabeling(n=c.m + 1, arcs=tuple(arcs), labels=tuple(labels))
     trace = ConstructionTrace(

@@ -36,6 +36,29 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def spans_tree(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
+    """True iff the pairs, read as undirected edges, are the edges of a tree on 0..n-1.
+
+    Nothing n-sized is built unless there are n - 1 pairs.
+    """
+    if n < 1 or len(pairs) != n - 1:
+        return False
+    # n - 1 pairs on n vertices form a tree iff none closes a cycle; a
+    # self-loop or a repeated pair closes one.
+    parent = list(range(n))
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            return False
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            return False
+        parent[v] = u
+    return True
+
+
 @dataclass(frozen=True)
 class Tree:
     """Undirected tree on vertices 0..n-1."""
@@ -45,28 +68,22 @@ class Tree:
 
     def __post_init__(self) -> None:
         n = self.n
-        if n < 1:
-            raise InputError("tree must have at least one vertex")
-        # edge() is called only for a self-loop, to raise on the first one given.
-        normalized = tuple(sorted([(u, v) if u < v else (v, u) if v < u else edge(u, v) for u, v in self.edges]))
-        object.__setattr__(self, "edges", normalized)
-        if len(normalized) != n - 1:
-            raise InputError(f"a tree on n={n} vertices needs {n - 1} edges, got {len(normalized)}")
-        if len(set(normalized)) != len(normalized):
-            raise InputError("parallel edges are not allowed")
-        for u, v in normalized:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) out of range for n={n}")
-        # n - 1 distinct edges on n vertices connect them iff none closes a cycle.
-        parent = list(range(n))
-        for u, v in normalized:
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u == v:
-                raise InputError("edge set is not connected")
-            parent[v] = u
+        if not spans_tree(n, self.edges):
+            # Name the first fault, in this order.
+            if n < 1:
+                raise InputError("tree must have at least one vertex")
+            # edge() is called only for a self-loop, to raise on the first one given.
+            normalized = sorted([(u, v) if u < v else (v, u) if v < u else edge(u, v) for u, v in self.edges])
+            if len(normalized) != n - 1:
+                raise InputError(f"a tree on n={n} vertices needs {n - 1} edges, got {len(normalized)}")
+            if len(set(normalized)) != len(normalized):
+                raise InputError("parallel edges are not allowed")
+            for u, v in normalized:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InputError(f"edge ({u},{v}) out of range for n={n}")
+            # n - 1 distinct edges on n vertices that are no tree leave it disconnected.
+            raise InputError("edge set is not connected")
+        object.__setattr__(self, "edges", tuple(sorted([(u, v) if u < v else (v, u) for u, v in self.edges])))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -194,7 +211,7 @@ def longest_path_decomposition(c: Caterpillar) -> PathDecomposition:
     return PathDecomposition(
         path=path,
         k=k,
-        path_edges=tuple(edge(path[i], path[i + 1]) for i in range(k)),
+        path_edges=tuple((u, v) if u < v else (v, u) for u, v in zip(path, path[1:])),
         offpath_leaves=(range(0), *leaves),
         trimmed_tail=trimmed,
     )
@@ -237,18 +254,24 @@ class OrientedLabeling:
     labels: tuple[int, ...]  # labels[i] belongs to arcs[i]
 
     def __post_init__(self) -> None:
-        m = len(self.arcs)
+        n, m = self.n, len(self.arcs)
         if len(self.labels) != m:
             raise InputError("one label per arc required")
         if sorted(self.labels) != list(range(1, m + 1)):
             raise InputError("labels are not a bijection onto [1, m]")
-        # edge() is called only for a self-loop, to raise on the first one given.
-        pairs = {(u, v) if u < v else (v, u) if v < u else edge(u, v) for u, v in self.arcs}
-        if len(pairs) != m:
-            raise InputError("arcs contain a repeated vertex pair")
-        for u, v in self.arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"arc ({u},{v}) out of range for n={self.n}")
+        # One key per arc: lower vertex * n + higher vertex, or -1 for a
+        # self-loop or a vertex out of range. Distinct pairs in range have
+        # distinct keys, so the arcs are valid iff m keys come out, none -1.
+        keys = {u * n + v if 0 <= u < v < n else v * n + u if 0 <= v < u < n else -1 for u, v in self.arcs}
+        if len(keys) != m or -1 in keys:
+            # Name the first fault, in this order.
+            # edge() is called only for a self-loop, to raise on the first one given.
+            pairs = {(u, v) if u < v else (v, u) if v < u else edge(u, v) for u, v in self.arcs}
+            if len(pairs) != m:
+                raise InputError("arcs contain a repeated vertex pair")
+            for u, v in self.arcs:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InputError(f"arc ({u},{v}) out of range for n={n}")
 
     @property
     def m(self) -> int:

@@ -40,11 +40,6 @@ def verify_antimagic(ol: OrientedLabeling) -> bool:
     return len(set(sums)) == len(sums)
 
 
-def _check_distinct(values: list[int], name: str, violations: list[str]) -> None:
-    if len(set(values)) != len(values):
-        violations.append(f"{name}_not_distinct")
-
-
 def check_class_intervals(
     ol: OrientedLabeling,
     sums: Sequence[int],
@@ -66,8 +61,16 @@ def check_class_intervals(
     """
     weights = list(map(abs, sums))
     light, heavy, leaf = VertexClass.LIGHT, VertexClass.HEAVY, VertexClass.NON_PATH_LEAF
-    next_to_leaf = {t for t, h in ol.arcs if classes[h] is leaf}
-    next_to_leaf.update(h for t, h in ol.arcs if classes[t] is leaf)
+    next_to_leaf = set()
+    for t, h in ol.arcs:
+        if classes[h] is leaf:
+            next_to_leaf.add(t)
+        if classes[t] is leaf:
+            next_to_leaf.add(h)
+    # The groups are disjoint: weights distinct overall are distinct in each
+    # group. Tested before the groups are built, so the set and the groups
+    # are not alive together.
+    all_distinct = len(set(weights)) == len(weights)
     m = ol.m
     bounds = {
         "light": (0, k1 - 1),
@@ -75,12 +78,17 @@ def check_class_intervals(
         "heavy_no_heavy_edge": (k2 + 2, m + k1),
         "heavy_with_heavy_edge": (m + k1 + 1, None),
     }
-    groups = {
-        "light": [weights[v] for v, c in enumerate(classes) if c is light],
-        "degree_one": [weights[v] for v, c in enumerate(classes) if c is not light and c is not heavy],
-        "heavy_no_heavy_edge": [weights[v] for v, c in enumerate(classes) if c is heavy and v not in next_to_leaf],
-        "heavy_with_heavy_edge": [weights[v] for v, c in enumerate(classes) if c is heavy and v in next_to_leaf],
-    }
+    groups: dict[str, list[int]] = {name: [] for name in bounds}
+    light_ws, degree_one_ws, plain_ws, heavy_edge_ws = groups.values()
+    for v, c in enumerate(classes):
+        if c is light:
+            light_ws.append(weights[v])
+        elif c is not heavy:
+            degree_one_ws.append(weights[v])
+        elif v in next_to_leaf:
+            heavy_edge_ws.append(weights[v])
+        else:
+            plain_ws.append(weights[v])
 
     violations: list[str] = []
     ranges: dict[str, tuple[int, int]] = {}
@@ -88,7 +96,8 @@ def check_class_intervals(
         if not ws:
             continue
         lo, hi = bounds[name]
-        _check_distinct(ws, name, violations)
+        if not all_distinct and len(set(ws)) != len(ws):
+            violations.append(f"{name}_not_distinct")
         if min(ws) < lo or (hi is not None and max(ws) > hi):
             violations.append(f"{name}_range")
         ranges[name] = (min(ws), max(ws))
@@ -106,7 +115,8 @@ def check_class_intervals(
     observed = sorted(ranges.values())
     if any(a[1] >= b[0] for a, b in zip(observed, observed[1:])):
         violations.append("class_ranges_overlap")
-    _check_distinct(weights, "all_weights", violations)
+    if not all_distinct:
+        violations.append("all_weights_not_distinct")
     return violations, ranges
 
 
@@ -142,8 +152,9 @@ def check_claims(
 
     path_arcs = {*d.path_edges, *((v, u) for u, v in d.path_edges)}  # both orientations
     path_sums: dict[int, int] = {v: 0 for v in d.path}
-    for (tail, head), lbl in zip(ol.arcs, ol.labels):
-        if (tail, head) in path_arcs:
+    for arc, lbl in zip(ol.arcs, ol.labels):
+        if arc in path_arcs:
+            tail, head = arc
             path_sums[head] += lbl
             path_sums[tail] -= lbl
 

@@ -14,6 +14,7 @@ from antimagic.graph_core import (
     longest_path_decomposition,
     parse_caterpillar,
     parse_leaf_counts,
+    spans_tree,
 )
 
 from conftest import caterpillars, nx_is_caterpillar
@@ -118,7 +119,7 @@ class TestTree:
             accepted = False
         else:
             accepted = True
-        assert accepted == is_tree_reference(n, pairs)
+        assert accepted == is_tree_reference(n, pairs) == spans_tree(n, pairs)
 
 
 class TestOrientedLabeling:
