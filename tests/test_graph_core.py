@@ -151,6 +151,21 @@ class TestOrientedLabeling:
         with pytest.raises(InputError, match=f"^{message}$"):
             OrientedLabeling(n=n, arcs=arcs, labels=labels)
 
+    @given(pair_lists())
+    @example((3, ((0, 5), (1, 2))))  # keys 0*3+5 and 1*3+2 collide
+    @example((1, ((-1, 0),)))  # key -1*1+0 is the self-loop key
+    def test_accepts_exactly_distinct_pairs_in_range(self, case):
+        n, arcs = case
+        try:
+            OrientedLabeling(n=n, arcs=arcs, labels=tuple(range(1, len(arcs) + 1)))
+        except InputError:
+            accepted = False
+        else:
+            accepted = True
+        in_range = all(0 <= x < n for arc in arcs for x in arc)
+        distinct = len({frozenset(arc) for arc in arcs}) == len(arcs)
+        assert accepted == (in_range and distinct and all(u != v for u, v in arcs))
+
 
 class TestDegreeAndLeaves:
     def test_path_middle_degree(self):
