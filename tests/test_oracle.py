@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -62,6 +63,27 @@ class TestAgreement:
     def test_random_pairs(self):
         t = parse_caterpillar([1, 0, 1, 0, 1]).tree
         assert agreement_on_random_pairs(t, pairs=2000, seed=5) == 0
+
+    def test_random_pairs_are_the_seeded_draws(self, monkeypatch):
+        seen = []
+        real = oracle.sums_distinct
+
+        def recorded(n, edges, orientation, labeling):
+            seen.append((orientation, labeling))
+            return real(n, edges, orientation, labeling)
+
+        monkeypatch.setattr(oracle, "sums_distinct", recorded)
+        t = parse_caterpillar([1, 0, 1, 0, 1]).tree  # m = 7
+        assert agreement_on_random_pairs(t, 50, seed=5) == 0
+        rng = random.Random(5)
+        base = list(range(1, 8))
+        assert seen == [(rng.randrange(1 << 7), tuple(rng.sample(base, 7))) for _ in range(50)]
+
+    def test_every_disagreement_is_counted(self, monkeypatch):
+        real = oracle.sums_distinct
+        monkeypatch.setattr(oracle, "sums_distinct", lambda *args: not real(*args))
+        assert agreement_on_random_pairs(parse_caterpillar([1, 0, 1, 0, 1]).tree, 50, seed=5) == 50
+        assert agreement_on_all_pairs(parse_caterpillar([3]).tree) == (8 * 6, 8 * 6)
 
     def test_arcs_built_once_per_orientation(self, monkeypatch):
         built = []
