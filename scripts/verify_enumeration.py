@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Enumerate every caterpillar up to a given order, construct, and verify.
 
-Prints one summary row per order and a final verdict. Exit 1 on any failure.
+Prints one summary row per order and a final verdict. Exit 1 on any failure,
+2 for a --seeds below 1 or a --max-n below 3, and 4 for a --max-n above the
+CLI's order cap, as `antimagic gen` does.
 """
 
 import argparse
@@ -9,9 +11,10 @@ import sys
 import time
 from collections import defaultdict
 
+from antimagic.cli import EXIT_INPUT, EXIT_REFUSED, MAX_ORDER
 from antimagic.construction import construct
 from antimagic.generators import enumerate_caterpillars
-from antimagic.verification import check_claims, check_weight_classes, verify_antimagic
+from antimagic.verification import check_claims, check_weight_classes
 
 
 def main() -> int:
@@ -19,17 +22,27 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=12)
     parser.add_argument("--seeds", type=int, default=3, help="seeds tried per instance")
     args = parser.parse_args()
+    if args.seeds < 1:
+        print(f"input error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.max_n < 3:
+        print(f"input error: --max-n must be at least 3, got {args.max_n}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.max_n > MAX_ORDER:
+        print(f"refused: --max-n={args.max_n} exceeds the order cap of {MAX_ORDER}", file=sys.stderr)
+        return EXIT_REFUSED
 
     per_order = defaultdict(lambda: [0, 0])  # order -> [instances, failures]
     start = time.perf_counter()
     for c in enumerate_caterpillars(args.max_n):
-        row = per_order[c.tree.n]
+        row = per_order[c.m + 1]
         row[0] += 1
         for seed in range(args.seeds):
             ol, trace = construct(c, seed=seed)
+            report = check_weight_classes(ol, trace)
             ok = (
-                verify_antimagic(ol)
-                and not check_weight_classes(ol, trace).violations
+                report.antimagic
+                and not report.violations
                 and all(p for _, p in check_claims(c, ol, trace))
             )
             if not ok:

@@ -65,11 +65,6 @@ CLASS_OF = {c.value: c for c in VertexClass}
 class RunRecord:
     line: str
     m: int
-    r: int
-    k1: int
-    k2: int
-    n_l: int
-    n_h: int
     seed: int
     violations: list[str] = field(default_factory=list)
     wall_time: float = 0.0
@@ -407,11 +402,6 @@ def _stress_one(task: tuple[int, int, int]) -> RunRecord:
     return RunRecord(
         line=format_leaf_counts(c),
         m=c.m,
-        r=c.r,
-        k1=trace.partition.k1,
-        k2=trace.partition.k2,
-        n_l=trace.n_l,
-        n_h=trace.n_h,
         seed=master_seed + index,
         violations=violations,
         wall_time=time.perf_counter() - start,

@@ -56,10 +56,6 @@ class ConstructionTrace:
     def n_l(self) -> int:
         return len(self.light_order)
 
-    @property
-    def n_h(self) -> int:
-        return len(self.heavy_order)
-
 
 def compute_label_partition(m: int, r: int) -> LabelPartition:
     """Step 1. k1 + k2 = m always holds (numerically retested elsewhere)."""

@@ -11,8 +11,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
-from typing import Optional
+from itertools import permutations, product
+from typing import Iterable, Optional
 
 from . import verification
 from .construction import construct
@@ -111,38 +111,34 @@ def confirm_construction(c: Caterpillar, seed: int = 0, cap: int = DEFAULT_CAP) 
     return accepted and verification.verify_antimagic(ol)
 
 
+def _disagreements(t: Tree, pairs: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[int, int]:
+    """(pairs checked, disagreements) between the oracle test and the verifier."""
+    arcs = cache(lambda orientation: _arcs(t.edges, orientation))  # at most 2^m entries
+    checked = 0
+    mismatches = 0
+    for orientation, labeling in pairs:
+        checked += 1
+        a = sums_distinct(t.n, t.edges, orientation, labeling)
+        b = verification.verify_antimagic(OrientedLabeling(n=t.n, arcs=arcs(orientation), labels=labeling))
+        if a != b:
+            mismatches += 1
+    return checked, mismatches
+
+
 def agreement_on_random_pairs(t: Tree, pairs: int, seed: int, cap: int = DEFAULT_CAP) -> int:
     """Count disagreements between the oracle test and the verifier on random pairs."""
     m = len(t.edges)
     _check_cap(m, cap)
     rng = random.Random(seed)
     base = list(range(1, m + 1))
-    arcs = cache(lambda orientation: _arcs(t.edges, orientation))  # at most 2^m entries
-    mismatches = 0
-    for _ in range(pairs):
-        orientation = rng.randrange(1 << m)
-        labeling = tuple(rng.sample(base, m))
-        a = sums_distinct(t.n, t.edges, orientation, labeling)
-        b = verification.verify_antimagic(OrientedLabeling(n=t.n, arcs=arcs(orientation), labels=labeling))
-        if a != b:
-            mismatches += 1
-    return mismatches
+    draws = ((rng.randrange(1 << m), tuple(rng.sample(base, m))) for _ in range(pairs))
+    return _disagreements(t, draws)[1]
 
 
 def agreement_on_all_pairs(t: Tree, cap: int = FULL_COUNT_MAX_M) -> tuple[int, int]:
     """(pairs checked, disagreements) over the full enumeration."""
     m = len(t.edges)
     _check_cap(m, cap)
-    checked = 0
-    mismatches = 0
-    expected = (1 << m) * math.factorial(m)
-    for orientation in range(1 << m):
-        arcs = _arcs(t.edges, orientation)
-        for labeling in permutations(range(1, m + 1)):
-            checked += 1
-            a = sums_distinct(t.n, t.edges, orientation, labeling)
-            b = verification.verify_antimagic(OrientedLabeling(n=t.n, arcs=arcs, labels=labeling))
-            if a != b:
-                mismatches += 1
-    assert checked == expected
+    checked, mismatches = _disagreements(t, product(range(1 << m), permutations(range(1, m + 1))))
+    assert checked == (1 << m) * math.factorial(m)
     return checked, mismatches

@@ -67,18 +67,6 @@ FIVE_EDGE = Tree(n=6, edges=((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)))
 
 
 class TestTree:
-    def test_rejects_disconnected(self):
-        with pytest.raises(InputError):
-            Tree(n=4, edges=((0, 1), (2, 3), (0, 1)))
-
-    def test_rejects_self_loop(self):
-        with pytest.raises(InputError):
-            Tree(n=3, edges=((0, 0), (1, 2)))
-
-    def test_rejects_wrong_edge_count(self):
-        with pytest.raises(InputError):
-            Tree(n=3, edges=((0, 1),))
-
     def test_normalizes_and_sorts_edges(self):
         assert Tree(n=4, edges=((3, 1), (1, 0), (2, 0))).edges == ((0, 1), (0, 2), (1, 3))
 
