@@ -9,7 +9,6 @@ from .graph_core import (
     ResourceLimitError,
     Tree,
     VertexClass,
-    is_caterpillar,
     parse_caterpillar,
 )
 from .verification import check_claims, check_weight_classes, oriented_sums, verify_antimagic
@@ -27,7 +26,6 @@ __all__ = [
     "check_weight_classes",
     "compute_label_partition",
     "construct",
-    "is_caterpillar",
     "oriented_sums",
     "parse_caterpillar",
     "verify_antimagic",

@@ -331,23 +331,12 @@ def _at_least(name: str, value: int, lo: int) -> int:
     return value
 
 
-def _oracle_cap(args: argparse.Namespace) -> int:
-    """--cap, else ANTIMAGIC_ORACLE_CAP, else the default."""
-    cap = args.cap
-    if cap is None:
-        env = os.environ.get("ANTIMAGIC_ORACLE_CAP")
-        try:
-            cap = int(env) if env else oracle_mod.DEFAULT_CAP
-        except ValueError:
-            raise InputError(f"ANTIMAGIC_ORACLE_CAP={env!r} is not an integer") from None
-    return _at_least("the oracle cap", cap, 0)
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cap = _oracle_cap(args)
+    cap = _at_least("the oracle cap", args.cap, 0)
     instances = _read_instances(args.input)
     for c in instances:  # every line is refused or accepted before any result is printed
-        oracle_mod._check_cap(c.m, cap)
+        if c.m > cap:
+            raise ResourceLimitError(f"m={c.m} exceeds the oracle cap {cap}; raise --cap explicitly")
     all_found = True
     for c in instances:
         res = oracle_mod.exhaustive_search(c.tree, cap=cap, count_all=args.count_all)
@@ -450,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force search over orientations and labelings")
     p.add_argument("input", nargs="?", help="file of leaf-count lines, or - for stdin")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=oracle_mod.DEFAULT_CAP)
     p.add_argument("--count-all", action="store_true")
     p.set_defaults(func=cmd_oracle)
 

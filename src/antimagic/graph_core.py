@@ -85,14 +85,6 @@ class Tree:
             raise InputError("edge set is not connected")
         object.__setattr__(self, "edges", tuple(sorted([(u, v) if u < v else (v, u) for u, v in self.edges])))
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in adj)
-
 
 @dataclass(frozen=True)
 class Caterpillar:
@@ -140,27 +132,6 @@ def parse_caterpillar(leaf_counts: list[int] | tuple[int, ...]) -> Caterpillar:
             raise InputError("non-canonical caterpillar: end spine vertices need at least 1 leaf")
     r = sum(counts)
     return Caterpillar(leaf_counts=counts, m=s - 1 + r, r=r)
-
-
-def is_caterpillar(t: Tree) -> Optional[Caterpillar]:
-    """Return the canonical relabeling if deleting all leaves of t yields a path.
-
-    Trees of order < 3 are rejected. The returned caterpillar uses canonical
-    vertex numbering, which generally differs from t's own.
-    """
-    if t.n < 3:
-        return None
-    adj = t.adjacency
-    # With its leaves deleted, a tree of order >= 3 is still a tree, so it is
-    # a path exactly when no vertex in it has three neighbours in it.
-    inner = {v: [w for w in ns if len(adj[w]) > 1] for v, ns in enumerate(adj) if len(ns) > 1}
-    if any(len(ns) > 2 for ns in inner.values()):
-        return None
-    spine = [min(v for v, ns in inner.items() if len(ns) < 2)]  # the smaller end
-    while len(spine) < len(inner):
-        spine.append(next(w for w in inner[spine[-1]] if w not in spine[-2:]))
-    counts = tuple(len(adj[v]) - len(inner[v]) for v in spine)
-    return parse_caterpillar(min(counts, counts[::-1]))
 
 
 @dataclass(frozen=True)
@@ -276,9 +247,6 @@ class OrientedLabeling:
     @property
     def m(self) -> int:
         return len(self.arcs)
-
-    def undirected_edges(self) -> frozenset[Edge]:
-        return frozenset(edge(u, v) for u, v in self.arcs)
 
 
 def parse_leaf_counts(line: str) -> tuple[int, ...]:

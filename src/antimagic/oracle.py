@@ -51,9 +51,7 @@ def sums_distinct(n: int, edges: tuple, orientation: int, labeling: tuple) -> bo
 
 def _check_cap(m: int, cap: int) -> None:
     if m > cap:
-        raise ResourceLimitError(
-            f"m={m} exceeds the oracle cap {cap}; raise --cap or ANTIMAGIC_ORACLE_CAP explicitly"
-        )
+        raise ResourceLimitError(f"m={m} exceeds the oracle cap {cap}")
 
 
 def _arcs(edges: tuple, orientation: int) -> tuple[Arc, ...]:
@@ -98,11 +96,11 @@ def exhaustive_search(t: Tree, cap: int = DEFAULT_CAP, count_all: bool = False) 
     )
 
 
-def confirm_construction(c: Caterpillar, seed: int = 0, cap: int = DEFAULT_CAP) -> bool:
+def confirm_construction(c: Caterpillar, seed: int = 0) -> bool:
     """True iff the constructed output is an orientation of c that the oracle accepts."""
-    _check_cap(c.m, cap)
+    _check_cap(c.m, DEFAULT_CAP)
     ol, _ = construct(c, seed=seed)
-    if ol.undirected_edges() != frozenset(c.tree.edges):
+    if {(u, v) if u < v else (v, u) for u, v in ol.arcs} != set(c.tree.edges):
         return False
     label_of = dict(zip(ol.arcs, ol.labels))
     orientation = sum(1 << i for i, (u, v) in enumerate(c.tree.edges) if (v, u) in label_of)
@@ -125,20 +123,20 @@ def _disagreements(t: Tree, pairs: Iterable[tuple[int, tuple[int, ...]]]) -> tup
     return checked, mismatches
 
 
-def agreement_on_random_pairs(t: Tree, pairs: int, seed: int, cap: int = DEFAULT_CAP) -> int:
+def agreement_on_random_pairs(t: Tree, pairs: int, seed: int) -> int:
     """Count disagreements between the oracle test and the verifier on random pairs."""
     m = len(t.edges)
-    _check_cap(m, cap)
+    _check_cap(m, DEFAULT_CAP)
     rng = random.Random(seed)
     base = list(range(1, m + 1))
     draws = ((rng.randrange(1 << m), tuple(rng.sample(base, m))) for _ in range(pairs))
     return _disagreements(t, draws)[1]
 
 
-def agreement_on_all_pairs(t: Tree, cap: int = FULL_COUNT_MAX_M) -> tuple[int, int]:
+def agreement_on_all_pairs(t: Tree) -> tuple[int, int]:
     """(pairs checked, disagreements) over the full enumeration."""
     m = len(t.edges)
-    _check_cap(m, cap)
+    _check_cap(m, FULL_COUNT_MAX_M)
     checked, mismatches = _disagreements(t, product(range(1 << m), permutations(range(1, m + 1))))
     assert checked == (1 << m) * math.factorial(m)
     return checked, mismatches

@@ -558,27 +558,24 @@ class TestOracle:
         assert code == EXIT_REFUSED
         assert "cap" in err
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("ANTIMAGIC_ORACLE_CAP", "3")
-        code, _, _ = run(capsys, monkeypatch, ["oracle", "-"], stdin="1 0 0 1\n")
-        assert code == EXIT_REFUSED
+    def test_default_cap(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["oracle", "-"], stdin="1 0 0 0 0 0 0 1\n")  # m = 9
+        assert (code, out) == (EXIT_REFUSED, "")
+        assert err == "refused: m=9 exceeds the oracle cap 8; raise --cap explicitly\n"
 
 
 @pytest.mark.parametrize(
-    "argv, env_cap",
+    "argv",
     [
-        (["oracle", "-"], "abc"),
-        (["oracle", "-", "--cap", "-1"], None),
-        (["stress", "--max-m", "1"], None),
-        (["stress", "--jobs", "0"], None),
-        (["stress", "--count", "-1"], None),
-        (["gen", "--random", "--count", "-1"], None),
-        (["stress", "--jobs", "2"], None),
+        ["oracle", "-", "--cap", "-1"],
+        ["stress", "--max-m", "1"],
+        ["stress", "--jobs", "0"],
+        ["stress", "--count", "-1"],
+        ["gen", "--random", "--count", "-1"],
+        ["stress", "--jobs", "2"],
     ],
 )
-def test_bad_numeric_input(capsys, monkeypatch, argv, env_cap):
-    if env_cap is not None:
-        monkeypatch.setenv("ANTIMAGIC_ORACLE_CAP", env_cap)
+def test_bad_numeric_input(capsys, monkeypatch, argv):
     code, out, err = run(capsys, monkeypatch, argv, stdin="2\n")
     assert code == EXIT_INPUT
     assert out == ""

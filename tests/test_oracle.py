@@ -47,8 +47,8 @@ class TestConfirmConstruction:
         assert confirm_construction(parse_caterpillar([1, 0, 1, 0, 1]))
 
     def test_cap_propagates(self):
-        with pytest.raises(ResourceLimitError):
-            confirm_construction(parse_caterpillar([1, 0, 1, 0, 1]), cap=4)
+        with pytest.raises(ResourceLimitError, match="^m=10 exceeds the oracle cap 8$"):
+            confirm_construction(parse_caterpillar([1, 0, 1, 0, 1, 0, 1]))
 
 
 class TestAgreement:
