@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
 """Enumerate every caterpillar up to a given order, construct, and verify.
 
-Prints one summary row per order and a final verdict. Exit 1 on any failure,
-2 for a --seeds below 1 or a --max-n below 3, and 4 for a --max-n above the
-CLI's order cap, as `antimagic gen` does.
+Prints one summary row per order and a final verdict. A failure is printed as
+FAIL and the record `antimagic stress` prints for one: the leaf-count line,
+the seed and the names of the failed checks, so
+`echo "<line>" | antimagic construct - --seed <seed>` replays it. Exit 1 on
+any failure, 2 for a --seeds below 1 or a --max-n below 3, and 4 for a
+--max-n above the CLI's order cap, as `antimagic gen` does.
 """
 
 import argparse
+import json
 import sys
 import time
 from collections import defaultdict
 
-from antimagic.cli import EXIT_INPUT, EXIT_REFUSED, MAX_ORDER
+from antimagic.cli import EXIT_INPUT, EXIT_REFUSED, MAX_ORDER, _violations
 from antimagic.construction import construct
 from antimagic.generators import enumerate_caterpillars
-from antimagic.verification import check_claims, check_weight_classes
+from antimagic.graph_core import format_leaf_counts
 
 
 def main() -> int:
@@ -38,16 +42,11 @@ def main() -> int:
         row = per_order[c.m + 1]
         row[0] += 1
         for seed in range(args.seeds):
-            ol, trace = construct(c, seed=seed)
-            report = check_weight_classes(ol, trace)
-            ok = (
-                report.antimagic
-                and not report.violations
-                and all(p for _, p in check_claims(c, ol, trace))
-            )
-            if not ok:
+            violations = _violations(c, *construct(c, seed=seed))
+            if violations:
                 row[1] += 1
-                print(f"FAIL {c.leaf_counts} seed={seed}")
+                record = {"line": format_leaf_counts(c), "seed": seed, "violations": violations}
+                print(f"FAIL {json.dumps(record)}")
     elapsed = time.perf_counter() - start
 
     print(f"{'order':>6} {'instances':>10} {'failures':>9}")

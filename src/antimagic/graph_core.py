@@ -30,12 +30,6 @@ class ResourceLimitError(RuntimeError):
     """Refusal of work whose size exceeds a cap: the oracle's search or an input line."""
 
 
-def edge(u: int, v: int) -> Edge:
-    if u == v:
-        raise InputError(f"self-loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
-
-
 def spans_tree(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
     """True iff the pairs, read as undirected edges, are the edges of a tree on 0..n-1.
 
@@ -59,6 +53,27 @@ def spans_tree(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
     return True
 
 
+def _tree_fault(n: int, pairs: tuple[tuple[int, int], ...]) -> str | None:
+    """None if `spans_tree(n, pairs)`; otherwise the first fault of the pairs, checked in this order."""
+    if spans_tree(n, pairs):
+        return None
+    if n < 1:
+        return "tree must have at least one vertex"
+    for u, v in pairs:
+        if u == v:
+            return f"self-loop at vertex {u}"
+    if len(pairs) != n - 1:
+        return f"a tree on n={n} vertices needs {n - 1} edges, got {len(pairs)}"
+    normalized = sorted([(u, v) if u < v else (v, u) for u, v in pairs])
+    if len(set(normalized)) != len(normalized):
+        return "parallel edges are not allowed"
+    for u, v in normalized:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) out of range for n={n}"
+    # n - 1 distinct edges on n vertices that are no tree leave it disconnected.
+    return "edge set is not connected"
+
+
 @dataclass(frozen=True)
 class Tree:
     """Undirected tree on vertices 0..n-1."""
@@ -67,22 +82,9 @@ class Tree:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        n = self.n
-        if not spans_tree(n, self.edges):
-            # Name the first fault, in this order.
-            if n < 1:
-                raise InputError("tree must have at least one vertex")
-            # edge() is called only for a self-loop, to raise on the first one given.
-            normalized = sorted([(u, v) if u < v else (v, u) if v < u else edge(u, v) for u, v in self.edges])
-            if len(normalized) != n - 1:
-                raise InputError(f"a tree on n={n} vertices needs {n - 1} edges, got {len(normalized)}")
-            if len(set(normalized)) != len(normalized):
-                raise InputError("parallel edges are not allowed")
-            for u, v in normalized:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InputError(f"edge ({u},{v}) out of range for n={n}")
-            # n - 1 distinct edges on n vertices that are no tree leave it disconnected.
-            raise InputError("edge set is not connected")
+        fault = _tree_fault(self.n, self.edges)
+        if fault is not None:
+            raise InputError(fault)
         object.__setattr__(self, "edges", tuple(sorted([(u, v) if u < v else (v, u) for u, v in self.edges])))
 
 
@@ -225,24 +227,14 @@ class OrientedLabeling:
     labels: tuple[int, ...]  # labels[i] belongs to arcs[i]
 
     def __post_init__(self) -> None:
-        n, m = self.n, len(self.arcs)
+        fault = _tree_fault(self.n, self.arcs)
+        if fault is not None:
+            raise InputError(f"arcs do not form a tree: {fault}")
+        m = len(self.arcs)
         if len(self.labels) != m:
             raise InputError("one label per arc required")
         if sorted(self.labels) != list(range(1, m + 1)):
             raise InputError("labels are not a bijection onto [1, m]")
-        # One key per arc: lower vertex * n + higher vertex, or -1 for a
-        # self-loop or a vertex out of range. Distinct pairs in range have
-        # distinct keys, so the arcs are valid iff m keys come out, none -1.
-        keys = {u * n + v if 0 <= u < v < n else v * n + u if 0 <= v < u < n else -1 for u, v in self.arcs}
-        if len(keys) != m or -1 in keys:
-            # Name the first fault, in this order.
-            # edge() is called only for a self-loop, to raise on the first one given.
-            pairs = {(u, v) if u < v else (v, u) if v < u else edge(u, v) for u, v in self.arcs}
-            if len(pairs) != m:
-                raise InputError("arcs contain a repeated vertex pair")
-            for u, v in self.arcs:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InputError(f"arc ({u},{v}) out of range for n={n}")
 
     @property
     def m(self) -> int:
@@ -251,10 +243,13 @@ class OrientedLabeling:
 
 def parse_leaf_counts(line: str) -> tuple[int, ...]:
     """Parse one line of the canonical text format: whitespace-separated counts."""
-    try:
-        return tuple(int(tok) for tok in line.split())
-    except ValueError as exc:
-        raise InputError(f"bad leaf-count line {line!r}") from exc
+    # int() alone would also read digit separators and non-ASCII digits, which the format has not.
+    if line.isascii() and "_" not in line:
+        try:
+            return tuple(int(tok) for tok in line.split())
+        except ValueError:
+            pass
+    raise InputError(f"bad leaf-count line {line!r}")
 
 
 def format_leaf_counts(c: Caterpillar) -> str:

@@ -2,11 +2,14 @@
 and refuses bad arguments with the CLI's exit codes."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from antimagic import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,3 +44,23 @@ def test_script_exits_zero(script, args):
 def test_verify_enumeration_refuses_bad_arguments(args, code, message):
     done = run_script("verify_enumeration.py", args)
     assert (done.returncode, done.stdout, done.stderr) == (code, "", message + "\n")
+
+
+def test_verify_enumeration_prints_a_replayable_failure(capsys, monkeypatch):
+    # claim3 made to fail on the one caterpillar of order 3, with seeds 0 and 1
+    check_claims = cli.check_claims
+
+    def failing_claim3(c, ol, trace):
+        claims = check_claims(c, ol, trace)
+        return [(name, passed and not (name == "claim3" and c.m == 2)) for name, passed in claims]
+
+    monkeypatch.setattr(cli, "check_claims", failing_claim3)
+    monkeypatch.setattr(sys, "argv", ["verify_enumeration.py", "--max-n", "4", "--seeds", "2"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(ROOT / "scripts" / "verify_enumeration.py"), run_name="__main__")
+    assert done.value.code == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        'FAIL {"line": "2", "seed": 0, "violations": ["claim3"]}',
+        'FAIL {"line": "2", "seed": 1, "violations": ["claim3"]}',
+    ]
