@@ -73,7 +73,7 @@ def _read_text(path: str | None) -> str:
     try:
         if path in (None, "-"):
             return sys.stdin.read()
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", newline="") as f:  # as stdin: no newline translation
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -87,8 +87,10 @@ def _within_cap(name: str, m: int) -> None:
 
 def _read_instances(path: str | None) -> list[Caterpillar]:
     out = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        stripped = line.strip()
+    # Lines end at "\n" alone (a CRLF line keeps its "\r" until stripped);
+    # str.splitlines() would also split at form feeds and ASCII separators.
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        stripped = line.removesuffix("\r").strip(" \t")
         if not stripped or stripped.startswith("#"):
             continue
         try:

@@ -230,25 +230,44 @@ class OrientedLabeling:
         fault = _tree_fault(self.n, self.arcs)
         if fault is not None:
             raise InputError(f"arcs do not form a tree: {fault}")
-        m = len(self.arcs)
-        if len(self.labels) != m:
-            raise InputError("one label per arc required")
-        if sorted(self.labels) != list(range(1, m + 1)):
-            raise InputError("labels are not a bijection onto [1, m]")
+        _check_labels(len(self.arcs), self.labels)
 
     @property
     def m(self) -> int:
         return len(self.arcs)
 
+    def with_labels(self, labels: tuple[int, ...]) -> OrientedLabeling:
+        """This labeling's n and arcs, already checked, with new labels; only the labels are checked."""
+        _check_labels(len(self.arcs), labels)
+        other = object.__new__(OrientedLabeling)  # no __init__, so no second arc check
+        fields = vars(other)
+        fields["n"], fields["arcs"], fields["labels"] = self.n, self.arcs, labels
+        return other
+
+
+def _check_labels(m: int, labels: tuple[int, ...]) -> None:
+    if len(labels) != m:
+        raise InputError("one label per arc required")
+    if sorted(labels) != list(range(1, m + 1)):
+        raise InputError("labels are not a bijection onto [1, m]")
+
 
 def parse_leaf_counts(line: str) -> tuple[int, ...]:
-    """Parse one line of the canonical text format: whitespace-separated counts."""
-    # int() alone would also read digit separators and non-ASCII digits, which the format has not.
-    if line.isascii() and "_" not in line:
+    """Parse one line of the canonical text format: counts separated by spaces or tabs.
+
+    Each count must read as `format_leaf_counts` writes it, so int()'s signs,
+    leading zeros, digit separators and non-ASCII digits are refused.
+    """
+    spaced = line.replace("\t", " ")
+    if spaced.isprintable():  # no whitespace but spaces is left
+        tokens = spaced.split()
         try:
-            return tuple(int(tok) for tok in line.split())
+            counts = tuple(map(int, tokens))
         except ValueError:
             pass
+        else:
+            if " ".join(map(str, counts)) == " ".join(tokens):
+                return counts
     raise InputError(f"bad leaf-count line {line!r}")
 
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cache
-from itertools import permutations, product
-from typing import Iterable, Optional
+from itertools import permutations, product, repeat
+from typing import Iterable, Iterator, Optional
 
 from . import verification
 from .construction import construct
@@ -110,27 +109,54 @@ def confirm_construction(c: Caterpillar, seed: int = 0) -> bool:
 
 
 def _disagreements(t: Tree, pairs: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[int, int]:
-    """(pairs checked, disagreements) between the oracle test and the verifier."""
-    arcs = cache(lambda orientation: _arcs(t.edges, orientation))  # at most 2^m entries
+    """(pairs checked, disagreements) between the oracle test and the verifier.
+
+    The first pair of each orientation builds a fully checked labeling; later
+    pairs of that orientation reuse its checked arcs and check only their labels.
+    """
+    first: dict[int, OrientedLabeling] = {}  # at most 2^m entries
     checked = 0
     mismatches = 0
     for orientation, labeling in pairs:
         checked += 1
         a = sums_distinct(t.n, t.edges, orientation, labeling)
-        b = verification.verify_antimagic(OrientedLabeling(n=t.n, arcs=arcs(orientation), labels=labeling))
-        if a != b:
+        ol = first.get(orientation)
+        if ol is None:
+            ol = first[orientation] = OrientedLabeling(n=t.n, arcs=_arcs(t.edges, orientation), labels=labeling)
+        else:
+            ol = ol.with_labels(labeling)
+        if a != verification.verify_antimagic(ol):
             mismatches += 1
     return checked, mismatches
 
 
+def _pairs(m: int, indices: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Decode each index in range(2^m * m!) into an (orientation, labeling) pair.
+
+    The low m bits are the orientation; the rest is the labeling's
+    lexicographic rank among the permutations of [1, m], read as a Lehmer code.
+    """
+    low = (1 << m) - 1
+    radices = [math.factorial(i) for i in reversed(range(m))]
+    for r in indices:
+        rank = r >> m
+        rest = list(range(1, m + 1))
+        labeling = []
+        for f in radices:
+            q, rank = divmod(rank, f)
+            labeling.append(rest.pop(q))
+        yield r & low, tuple(labeling)
+
+
 def agreement_on_random_pairs(t: Tree, pairs: int, seed: int) -> int:
-    """Count disagreements between the oracle test and the verifier on random pairs."""
+    """Count disagreements between the oracle test and the verifier on random pairs.
+
+    Each pair is one uniform draw from all 2^m * m! pairs.
+    """
     m = len(t.edges)
     _check_cap(m, DEFAULT_CAP)
     rng = random.Random(seed)
-    base = list(range(1, m + 1))
-    draws = ((rng.randrange(1 << m), tuple(rng.sample(base, m))) for _ in range(pairs))
-    return _disagreements(t, draws)[1]
+    return _disagreements(t, _pairs(m, map(rng.randrange, repeat((1 << m) * math.factorial(m), pairs))))[1]
 
 
 def agreement_on_all_pairs(t: Tree) -> tuple[int, int]:

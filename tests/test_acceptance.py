@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. It takes about a minute on
-two cores; the bulk is the oracle cross-validation sampling. Criteria 1 and 2
-run on a spawn process pool.
+Run with `pytest tests/test_acceptance.py -v -s`. It takes 50–55 s on two
+cores; the bulk is criterion 2's oracle cross-validation sampling (about
+40 s). Criteria 1 and 2 run on a spawn process pool.
 """
 
 import os

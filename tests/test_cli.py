@@ -106,12 +106,24 @@ class TestConstruct:
             ("1 x 1", "bad leaf-count line '1 x 1'"),
             ("1_0 2", "bad leaf-count line '1_0 2'"),  # int() reads it as 10 2
             ("\u0663", "bad leaf-count line '\u0663'"),  # an Arabic-Indic 3
+            ("+1 +1", "bad leaf-count line '+1 +1'"),  # int() reads signs
+            ("01 -0 1", "bad leaf-count line '01 -0 1'"),  # and leading zeros
+            ("2\x1c2", "bad leaf-count line '2\\x1c2'"),  # str.splitlines() splits here
+            ("2\r2", "bad leaf-count line '2\\r2'"),  # a lone CR ends no line
             ("1 -1 1", "leaf counts must be nonnegative"),
         ],
     )
     def test_bad_leaf_count_line(self, capsys, monkeypatch, line, err):
         code, out, got = run(capsys, monkeypatch, ["construct", "-"], stdin=f"2\n{line}\n")
         assert (code, out, got) == (EXIT_INPUT, "", f"input error: line 2: {err}\n")
+
+    def test_crlf_lines_parse(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "input.txt"
+        f.write_bytes(b"# crlf\r\n2\r\n\t1 0 1 \r\n")
+        lf = run(capsys, monkeypatch, ["construct", "-"], stdin="2\n1 0 1\n")
+        assert run(capsys, monkeypatch, ["construct", str(f)]) == lf
+        assert run(capsys, monkeypatch, ["construct", "-"], stdin="2\r\n1 0 1\r\n") == lf
+        assert lf[0] == EXIT_OK
 
     def test_missing_file(self, capsys, monkeypatch, tmp_path):
         for command in ("construct", "verify"):

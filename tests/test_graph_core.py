@@ -114,6 +114,30 @@ class TestOrientedLabeling:
         with pytest.raises(InputError, match=f"^{message}$"):
             OrientedLabeling(n=n, arcs=arcs, labels=labels)
 
+    def test_with_labels_keeps_n_and_the_arcs_object(self):
+        ol = OrientedLabeling(n=4, arcs=((1, 0), (1, 2), (3, 2)), labels=(1, 2, 3))
+        relabeled = ol.with_labels((3, 1, 2))
+        assert relabeled == OrientedLabeling(n=4, arcs=ol.arcs, labels=(3, 1, 2))
+        assert relabeled.arcs is ol.arcs
+        assert ol.labels == (1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ((1,), "one label per arc required"),
+            ((1, 2, 3), "one label per arc required"),
+            ((1, 1), r"labels are not a bijection onto \[1, m\]"),
+            ((0, 1), r"labels are not a bijection onto \[1, m\]"),
+            ((1, 3), r"labels are not a bijection onto \[1, m\]"),
+        ],
+    )
+    def test_with_labels_raises_the_constructors_messages(self, labels, message):
+        ol = OrientedLabeling(n=3, arcs=((0, 1), (1, 2)), labels=(1, 2))
+        with pytest.raises(InputError, match=f"^{message}$"):
+            OrientedLabeling(n=3, arcs=ol.arcs, labels=labels)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            ol.with_labels(labels)
+
 
 @pytest.mark.parametrize(
     "build",
@@ -247,10 +271,13 @@ class TestLongestPathDecomposition:
 class TestTextFormat:
     def test_parse_line(self):
         assert parse_leaf_counts("1 0 1 0 1") == (1, 0, 1, 0, 1)
+        assert parse_leaf_counts(" 1\t0  1\t") == (1, 0, 1)  # spaces and tabs separate
+        assert parse_leaf_counts("1 -1 1") == (1, -1, 1)  # parse_caterpillar refuses the sign
 
     def test_parse_bad_token(self):
-        with pytest.raises(InputError):
-            parse_leaf_counts("1 x 1")
+        for line in ["1 x 1", "+1 +1", "01 -0 1", "1_0", "\u0663", "1\x0b1", "1\xa01", "1\r"]:
+            with pytest.raises(InputError, match="^bad leaf-count line "):
+                parse_leaf_counts(line)
 
     @given(caterpillars())
     def test_round_trip(self, c):

@@ -1,10 +1,11 @@
 import math
 import random
+from itertools import islice, permutations, product
 
 import pytest
 
-from antimagic import oracle
-from antimagic.graph_core import ResourceLimitError, Tree, parse_caterpillar
+from antimagic import oracle, verification
+from antimagic.graph_core import InputError, OrientedLabeling, ResourceLimitError, Tree, parse_caterpillar
 from antimagic.oracle import (
     agreement_on_all_pairs,
     agreement_on_random_pairs,
@@ -75,9 +76,17 @@ class TestAgreement:
         monkeypatch.setattr(oracle, "sums_distinct", recorded)
         t = parse_caterpillar([1, 0, 1, 0, 1]).tree  # m = 7
         assert agreement_on_random_pairs(t, 50, seed=5) == 0
+        # One draw over all 2^7 * 7! pairs: the low 7 bits are the orientation,
+        # the rest the labeling's rank in lexicographic order.
         rng = random.Random(5)
-        base = list(range(1, 8))
-        assert seen == [(rng.randrange(1 << 7), tuple(rng.sample(base, 7))) for _ in range(50)]
+        draws = [rng.randrange(2**7 * math.factorial(7)) for _ in range(50)]
+        ranked = lambda rank: next(islice(permutations(range(1, 8)), rank, None))
+        assert seen == [(r % 2**7, ranked(r // 2**7)) for r in draws]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_index_decodes_to_a_distinct_pair(self, m):
+        decoded = list(oracle._pairs(m, range(2**m * math.factorial(m))))
+        assert sorted(decoded) == list(product(range(1 << m), permutations(range(1, m + 1))))
 
     def test_every_disagreement_is_counted(self, monkeypatch):
         real = oracle.sums_distinct
@@ -86,17 +95,51 @@ class TestAgreement:
         assert agreement_on_all_pairs(parse_caterpillar([3]).tree) == (8 * 6, 8 * 6)
 
     def test_arcs_built_once_per_orientation(self, monkeypatch):
-        built = []
-        real = oracle._arcs
+        # Each orientation's arcs are built, and fully checked by the constructor, once.
+        built, checked = [], []
+        real_arcs, real_init = oracle._arcs, OrientedLabeling.__init__
 
-        def counted(edges, orientation):
+        def counted_arcs(edges, orientation):
             built.append(orientation)
-            return real(edges, orientation)
+            return real_arcs(edges, orientation)
 
-        monkeypatch.setattr(oracle, "_arcs", counted)
+        def counted_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            checked.append(self.arcs)
+
+        monkeypatch.setattr(oracle, "_arcs", counted_arcs)
+        monkeypatch.setattr(OrientedLabeling, "__init__", counted_init)
         t = parse_caterpillar([1, 1, 1]).tree  # m = 5: 32 orientations
         assert agreement_on_random_pairs(t, pairs=2000, seed=5) == 0
         assert sorted(built) == sorted(set(built)) and len(built) <= 32
+        assert checked == [real_arcs(t.edges, orientation) for orientation in built]
         built.clear()
+        checked.clear()
         assert agreement_on_all_pairs(t) == (32 * 120, 0)
         assert built == list(range(32))
+        assert checked == [real_arcs(t.edges, orientation) for orientation in range(32)]
+
+    def test_the_verifier_judges_only_checked_labelings(self, monkeypatch):
+        pairs, judged = [], []
+        real_sums, real_verify = oracle.sums_distinct, verification.verify_antimagic
+
+        def sums(n, edges, orientation, labeling):
+            pairs.append((orientation, labeling))
+            return real_sums(n, edges, orientation, labeling)
+
+        def verify(ol):
+            try:
+                OrientedLabeling(n=ol.n, arcs=ol.arcs, labels=ol.labels)
+            except InputError as exc:
+                judged.append(exc)
+            else:
+                judged.append((ol.arcs, ol.labels))
+            return real_verify(ol)
+
+        monkeypatch.setattr(oracle, "sums_distinct", sums)
+        monkeypatch.setattr(verification, "verify_antimagic", verify)
+        t = parse_caterpillar([1, 1, 1]).tree
+        assert agreement_on_random_pairs(t, pairs=2000, seed=5) == 0
+        assert agreement_on_all_pairs(t) == (32 * 120, 0)
+        assert len(judged) == 2000 + 32 * 120
+        assert judged == [(oracle._arcs(t.edges, orientation), labeling) for orientation, labeling in pairs]

@@ -38,6 +38,39 @@ def test_verifier_takes_only_the_trace_from_the_construction():
     assert taken == [("construction", ("ConstructionTrace",))]
 
 
+def test_oracle_takes_only_verify_antimagic_from_the_verifier():
+    # The oracle's recount must stay independent of the verifier it checks.
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "verification"
+        for alias in node.names
+    }
+    module_reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "verification"]
+    attributes = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "verification"
+    ]
+    assert len(module_reads) == len(attributes)  # the module is only read through an attribute
+    assert names | set(attributes) == {"verify_antimagic"}
+
+
+def test_oracle_recount_reads_nothing_from_the_package():
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    (recount,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "sums_distinct"]
+    read = {node.id for statement in recount.body for node in ast.walk(statement) if isinstance(node, ast.Name)}
+    assert imported >= {"verification", "OrientedLabeling"}
+    assert read & imported == set()
+
+
 FAILING_PROPERTY = """
 from hypothesis import given, strategies as st
 
