@@ -35,7 +35,7 @@ from .graph_core import (
     parse_leaf_counts,
 )
 from .verification import check_claims, check_class_intervals, check_weight_classes
-from .verification import oriented_sums, verify_antimagic
+from .verification import oriented_sums, pairwise_distinct, verify_antimagic
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -45,9 +45,10 @@ EXIT_REFUSED = 4
 
 # construct and oracle refuse an input line with more edges than this, stress
 # a --max-m above it, gen --random a largest m above it. At m = 10^6 (spine
-# m/3; Python 3.11, 2 vCPUs, stdout to a file), construct --format json takes
-# 6-8 s of CPU and peaks at ~550 MB resident, and verify of its output, read
-# from a file, ~4.5 s and ~425 MB.
+# m/3; Python 3.11, 2 vCPUs whose speed varied by 1.5x between runs, stdout
+# to a file), construct --format json writes a 59.7 MB document in 9-13 s of
+# CPU and peaks at ~560 MB resident, and verify of it, read from a file, takes
+# 3.9-4.6 s and peaks at ~355 MB.
 MAX_EDGES = 2_000_000
 
 # gen refuses a --max-n above this. There are 2^(n-4) + 2^((n-4)//2)
@@ -155,7 +156,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if args.format == "json":
             doc = labeling_to_json(ol, trace)
             del ol, trace  # not kept alive while the document is encoded
-            print(json.dumps(doc, check_circular=False))  # the document is a tree of fresh objects
+            # a tree of fresh objects, written without spaces
+            print(json.dumps(doc, check_circular=False, separators=(",", ":")))
         elif args.format == "dot":
             print(_render_dot(ol, trace))
         else:
@@ -166,7 +168,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def _int(value: object) -> int:
     """A JSON integer as it is; TypeError for anything else, floats and booleans included."""
     if type(value) is not int:
-        # an arc-shaped object, which `_object` decodes as a tuple, is named as any other object
+        # an arc-shaped object, which `_object` decodes as a triple, is named as any other object
         name = "dict" if type(value) is tuple else type(value).__name__
         raise TypeError(f"expected an integer, got {name}")
     return value
@@ -183,16 +185,16 @@ def _object(pairs: list[tuple[str, object]]) -> dict | tuple:
     """A decoded JSON object; InputError if a key repeats, since the last one would silently win.
 
     An object whose keys are exactly from, to and label, in any order, is
-    returned as the pair ((from, to), label) without a dict being built.
+    returned as the triple (from, to, label) without a dict being built.
     """
     if len(pairs) == 3:
         (a, x), (b, y), (c, z) = pairs
         if (a, b, c) == ARC_KEYS:  # the order documents are written in
-            return (x, y), z
+            return x, y, z
         at = ARC_ORDERS.get((a, b, c))
         if at is not None:  # three distinct keys, so none repeats
             values = x, y, z
-            return (values[at[0]], values[at[1]]), values[at[2]]
+            return values[at[0]], values[at[1]], values[at[2]]
     obj = dict(pairs)
     if len(obj) != len(pairs):
         key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
@@ -205,16 +207,22 @@ def _labeling_from_json(doc: dict) -> OrientedLabeling:
     try:
         n = _int(doc["n"])
         raw = doc.pop("arcs")
-        # `_object` decoded each well-formed arc as a pair; an arc-shaped object
-        # in place of the array would iterate as its two parts.
+        # `_object` decoded each well-formed arc as a triple; an arc-shaped
+        # object in place of the array would iterate as its three values.
         if type(raw) is not list or not set(map(type, raw)) <= {tuple}:
             raise TypeError("arcs must be an array of objects whose keys are exactly from, to and label")
-        arcs = tuple(map(itemgetter(0), raw))
-        _ints(list(chain.from_iterable(arcs)))
-        labels = tuple(map(itemgetter(1), raw))
-        _ints(labels)
-    except (KeyError, TypeError) as exc:
+        if not set(map(type, chain.from_iterable(raw))) <= {int}:
+            # the fault named is the first one found when every endpoint is checked before any label
+            _ints([v for tail, head, _ in raw for v in (tail, head)])
+            _ints([lbl for *_, lbl in raw])
+    except KeyError as exc:
+        raise InputError(f"bad labeling JSON: missing key {exc}") from exc
+    except TypeError as exc:
         raise InputError(f"bad labeling JSON: {exc}") from exc
+    labels = tuple(map(itemgetter(2), raw))
+    for i, (tail, head, _) in enumerate(raw):
+        raw[i] = tail, head  # each triple is freed as its arc is made, so the two are never all alive
+    arcs = tuple(raw)
     del raw
     return OrientedLabeling(n=n, arcs=arcs, labels=labels)
 
@@ -254,21 +262,26 @@ def _class_args_from_json(doc: dict, ol: OrientedLabeling) -> tuple | None:
     if min(path) < 0 or max(path) >= n:
         outside = next(v for v in path if not 0 <= v < n)
         raise InputError(f"vertex {outside} out of range for n={n}")
-    on_path = set(path)
-    if len(on_path) != len(path):
+    position = [-2] * n  # -2 off the path, so that no off-path vertex is one step from a path vertex
+    for i, v in enumerate(path):
+        position[v] = i
+    if position.count(-2) != n - len(path):
         repeated = next(v for v, count in Counter(path).items() if count > 1)
         raise InputError(f"path: vertex {repeated} repeats")
-    steps = {*zip(path, path[1:]), *zip(path[1:], path)}  # each step in both directions
-    # A tree has one arc per edge, in one direction, and the path's steps are
-    # distinct edges: every step is joined iff one arc meets each.
-    steps.intersection_update(ol.arcs)
-    if len(steps) != len(path) - 1:
-        a, b = next((a, b) for a, b in zip(path, path[1:]) if (a, b) not in steps and (b, a) not in steps)
-        raise InputError(f"path: vertices {a} and {b} are not joined by an arc")
+    # A tree has one arc per edge, in one direction: each step of the path is
+    # met by at most one arc, an arc whose ends are one step apart on the path.
+    joined = bytearray(len(path))  # joined[i]: an arc meets the step from path[i] to path[i + 1]
+    for u, v in ol.arcs:
+        i, j = position[u], position[v]
+        if abs(i - j) == 1:
+            joined[min(i, j)] = 1
+    if joined.count(1) != len(path) - 1:
+        i = joined.index(0)
+        raise InputError(f"path: vertices {path[i]} and {path[i + 1]} are not joined by an arc")
     light, heavy = VertexClass.LIGHT, VertexClass.HEAVY
     path_classes = list(map(classes.__getitem__, path))
     if path_classes.count(light) + path_classes.count(heavy) != classes.count(light) + classes.count(heavy):
-        v, c = next((v, c) for v, c in enumerate(classes) if (c is light or c is heavy) and v not in on_path)
+        v, c = next((v, c) for v, c in enumerate(classes) if (c is light or c is heavy) and position[v] < 0)
         raise InputError(f"classes: {c.value} vertex {v} is not on the path")
     return classes, path, k1, k2
 
@@ -280,8 +293,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON: {exc}") from exc
     del text  # not kept alive next to the document
-    if type(doc) is tuple:  # an arc-shaped object, decoded as an arc: read it as the object it is
-        doc = dict(zip(ARC_KEYS, (*doc[0], doc[1])))
+    if type(doc) is tuple:  # an arc-shaped object, decoded as an arc triple: read it as the object it is
+        doc = dict(zip(ARC_KEYS, doc))
     if type(doc) is not dict:
         raise InputError(f"the document must be a JSON object, got {type(doc).__name__}")
     # The class names are checked, and freed, before the labeling is validated.
@@ -302,8 +315,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc.pop("classes", None)
     sums = oriented_sums(ol)
     violations = []
-    if len(set(sums)) != len(sums):
-        violations.append("duplicate_sum")
     if "sums" in doc:
         declared = doc.pop("sums")
         if not isinstance(declared, list) or len(declared) != ol.n:
@@ -317,6 +328,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         del declared
     if class_args is not None:
         violations += check_class_intervals(ol, sums, *class_args)[0]
+    # Distinct weights |s| make the sums distinct, so the class check's verdict
+    # spares comparing the sums themselves.
+    if (class_args is None or "all_weights_not_distinct" in violations) and not pairwise_distinct(sums):
+        violations.insert(0, "duplicate_sum")
     del ol, class_args  # the report needs only the sums
     report = {"sums": sums, "antimagic": "duplicate_sum" not in violations, "violations": violations}
     print(json.dumps(report))

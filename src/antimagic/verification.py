@@ -7,8 +7,10 @@ a bug in the construction's own sums cannot hide itself.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import eq
 
 from .construction import ConstructionTrace
 from .graph_core import (
@@ -40,6 +42,16 @@ def verify_antimagic(ol: OrientedLabeling) -> bool:
     return len(set(sums)) == len(sums)
 
 
+def _sorted_distinct(values: list[int]) -> bool:
+    """True iff no two neighbours of the sorted list are equal."""
+    return not any(map(eq, values, islice(values, 1, None)))
+
+
+def pairwise_distinct(values: Iterable[int]) -> bool:
+    """True iff the values are pairwise distinct; tested on a sorted copy, 8 bytes a value, not on a set."""
+    return _sorted_distinct(sorted(values))
+
+
 def check_class_intervals(
     ol: OrientedLabeling,
     sums: Sequence[int],
@@ -59,18 +71,13 @@ def check_class_intervals(
     path-end leaf. The observed ranges must not overlap and all weights must
     be pairwise distinct.
     """
-    weights = list(map(abs, sums))
     light, heavy, leaf = VertexClass.LIGHT, VertexClass.HEAVY, VertexClass.NON_PATH_LEAF
-    next_to_leaf = set()
+    next_to_leaf = bytearray(ol.n)
     for t, h in ol.arcs:
         if classes[h] is leaf:
-            next_to_leaf.add(t)
+            next_to_leaf[t] = 1
         if classes[t] is leaf:
-            next_to_leaf.add(h)
-    # The groups are disjoint: weights distinct overall are distinct in each
-    # group. Tested before the groups are built, so the set and the groups
-    # are not alive together.
-    all_distinct = len(set(weights)) == len(weights)
+            next_to_leaf[h] = 1
     m = ol.m
     bounds = {
         "light": (0, k1 - 1),
@@ -80,42 +87,47 @@ def check_class_intervals(
     }
     groups: dict[str, list[int]] = {name: [] for name in bounds}
     light_ws, degree_one_ws, plain_ws, heavy_edge_ws = groups.values()
-    for v, c in enumerate(classes):
+    for c, s, by_leaf in zip(classes, sums, next_to_leaf):
         if c is light:
-            light_ws.append(weights[v])
+            light_ws.append(abs(s))
         elif c is not heavy:
-            degree_one_ws.append(weights[v])
-        elif v in next_to_leaf:
-            heavy_edge_ws.append(weights[v])
+            degree_one_ws.append(abs(s))
+        elif by_leaf:
+            heavy_edge_ws.append(abs(s))
         else:
-            plain_ws.append(weights[v])
+            plain_ws.append(abs(s))
 
     violations: list[str] = []
     ranges: dict[str, tuple[int, int]] = {}
+    groups_distinct = True
     for name, ws in groups.items():
         if not ws:
             continue
+        ws.sort()  # in place: the weights are held once
         lo, hi = bounds[name]
-        if not all_distinct and len(set(ws)) != len(ws):
+        if not _sorted_distinct(ws):
+            groups_distinct = False
             violations.append(f"{name}_not_distinct")
-        if min(ws) < lo or (hi is not None and max(ws) > hi):
+        if ws[0] < lo or (hi is not None and ws[-1] > hi):
             violations.append(f"{name}_range")
-        ranges[name] = (min(ws), max(ws))
+        ranges[name] = (ws[0], ws[-1])
 
-    plain = [weights[v] for v in path if classes[v] is heavy and v not in next_to_leaf]
+    plain = [abs(sums[v]) for v in path if classes[v] is heavy and not next_to_leaf[v]]
     if any(a <= b for a, b in zip(plain, plain[1:])):
         violations.append("heavy_no_heavy_edge_not_decreasing")
 
-    if weights[path[0]] != k1:
+    if abs(sums[path[0]]) != k1:
         violations.append("u0_weight")
     uk = path[-1]
-    if classes[uk] is VertexClass.PATH_END_LEAF and weights[uk] != k2 + 1:
+    if classes[uk] is VertexClass.PATH_END_LEAF and abs(sums[uk]) != k2 + 1:
         violations.append("uk_weight")
 
     observed = sorted(ranges.values())
-    if any(a[1] >= b[0] for a, b in zip(observed, observed[1:])):
+    overlap = any(a[1] >= b[0] for a, b in zip(observed, observed[1:]))
+    if overlap:
         violations.append("class_ranges_overlap")
-    if not all_distinct:
+    # The groups partition the vertices: with disjoint ranges, weights distinct in each group are distinct overall.
+    if not groups_distinct or (overlap and not pairwise_distinct(chain.from_iterable(groups.values()))):
         violations.append("all_weights_not_distinct")
     return violations, ranges
 
@@ -129,7 +141,8 @@ def check_weight_classes(ol: OrientedLabeling, trace: ConstructionTrace) -> Veri
     )
     return VerificationReport(
         class_ranges=ranges,
-        antimagic=len(set(sums)) == len(sums),
+        # distinct weights |s| make the sums distinct
+        antimagic="all_weights_not_distinct" not in violations or pairwise_distinct(sums),
         violations=violations,
     )
 

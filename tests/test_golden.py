@@ -3,8 +3,8 @@
 The first digest pins the arcs, labels and every ordering the construction
 decides, over every caterpillar of order at most 12 (three seeds each) and
 300 seeded random instances with at most 1,000 edges. The others pin the
-bytes `construct --format tsv` and `--format dot` print for every
-caterpillar of order at most 10 at seed 4. A refactor must leave them
+bytes `construct --format tsv`, `--format dot` and `--format json` print for
+every caterpillar of order at most 10 at seed 4. A refactor must leave them
 unchanged; a deliberate change of output must say why and record the new
 digest.
 """
@@ -12,6 +12,7 @@ digest.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -26,7 +27,11 @@ GOLDEN_SHA256 = "41b49bc1861b5f86e7d4b0e365bde3ded35c0d99cd4ea012f771ead3db14f2a
 FORMAT_SHA256 = {
     "tsv": "694ae62f34088868ba59a4c95eede32b2cdb5eb0fe6525ba739f9511ba7ae469",
     "dot": "fdf241687dea61f43acd9a976298db0006fd78731162dd42a9005409f287b1b5",
+    "json": "8f7f47907eebcff0c2a62fd1f6f49887a557ac00762b4a50b0aabfcdc9bef648",
 }
+# The same JSON lines each re-encoded by `json.dumps` with its default separators:
+# the documents as they were written before construct dropped the spaces.
+SPACED_JSON_SHA256 = "d2adeaace9ee04c4ee120cb166fd2eb6b2e3069d18bd28890feab1da04b1339b"
 
 
 def construction_record(c, seed: int) -> tuple:
@@ -58,11 +63,22 @@ def test_construct_output_digest():
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
-@pytest.mark.parametrize("fmt", sorted(FORMAT_SHA256))
-def test_text_format_digest(monkeypatch, fmt):
+def construct_output(monkeypatch, fmt: str) -> str:
     lines = "".join(format_leaf_counts(c) + "\n" for c in enumerate_caterpillars(10))
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["construct", "-", "--format", fmt, "--seed", "4"]) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FORMAT_SHA256[fmt]
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMAT_SHA256))
+def test_text_format_digest(monkeypatch, fmt):
+    out = construct_output(monkeypatch, fmt)
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_SHA256[fmt]
+
+
+def test_json_differs_from_the_spaced_documents_only_in_whitespace(monkeypatch):
+    lines = construct_output(monkeypatch, "json").splitlines()
+    spaced = "".join(json.dumps(json.loads(line)) + "\n" for line in lines)
+    assert hashlib.sha256(spaced.encode()).hexdigest() == SPACED_JSON_SHA256

@@ -10,6 +10,7 @@ from antimagic.verification import (
     check_claims,
     check_weight_classes,
     oriented_sums,
+    pairwise_distinct,
     verify_antimagic,
 )
 
@@ -62,6 +63,11 @@ class TestVerifyAntimagic:
             n=ol.n, arcs=tuple((h, t) for t, h in ol.arcs), labels=ol.labels
         )
         assert verify_antimagic(ol) == verify_antimagic(reversed_ol)
+
+    @given(st.lists(st.integers(-30, 30)))
+    def test_pairwise_distinct_agrees_with_a_set(self, values):
+        assert pairwise_distinct(values) == (len(set(values)) == len(values))
+        assert pairwise_distinct(iter(values)) == pairwise_distinct(values)
 
 
 class TestWeightClasses:
@@ -122,6 +128,12 @@ class TestWeightClasses:
             # weights still pairwise distinct: ranges and order only
             ("1 1", (0, 2), ["heavy_no_heavy_edge_range", "heavy_with_heavy_edge_range", "u0_weight"]),
             ("2 0 0 2", (1, 3), ["heavy_no_heavy_edge_not_decreasing"]),
+            # sums 7 and -7: equal weights in two groups, distinct sums, so still antimagic
+            (
+                "1 2",
+                (0, 2),
+                ["heavy_no_heavy_edge_range", "u0_weight", "class_ranges_overlap", "all_weights_not_distinct"],
+            ),
         ],
     )
     def test_violation_lists(self, line, swap, violations):
