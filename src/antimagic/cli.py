@@ -45,10 +45,10 @@ EXIT_REFUSED = 4
 
 # construct and oracle refuse an input line with more edges than this, stress
 # a --max-m above it, gen --random a largest m above it. At m = 10^6 (spine
-# m/3; Python 3.11, 2 vCPUs whose speed varied by 1.5x between runs, stdout
-# to a file), construct --format json writes a 59.7 MB document in 9-13 s of
-# CPU and peaks at ~560 MB resident, and verify of it, read from a file, takes
-# 3.9-4.6 s and peaks at ~355 MB.
+# m/3; Python 3.11, 2 vCPUs, stdout to a file), construct --format json writes
+# a 59.7 MB document in 6-8 s of CPU and peaks at ~560 MB resident (15 MB more
+# than with spaces: glibc's mmap threshold, not a larger live set), and verify
+# of it, read from a file, ~4.5 s and ~355 MB.
 MAX_EDGES = 2_000_000
 
 # gen refuses a --max-n above this. There are 2^(n-4) + 2^((n-4)//2)
@@ -328,11 +328,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         del declared
     if class_args is not None:
         violations += check_class_intervals(ol, sums, *class_args)[0]
-    # Distinct weights |s| make the sums distinct, so the class check's verdict
-    # spares comparing the sums themselves.
-    if (class_args is None or "all_weights_not_distinct" in violations) and not pairwise_distinct(sums):
-        violations.insert(0, "duplicate_sum")
     del ol, class_args  # the report needs only the sums
+    if not pairwise_distinct(sums):
+        violations.insert(0, "duplicate_sum")
     report = {"sums": sums, "antimagic": "duplicate_sum" not in violations, "violations": violations}
     print(json.dumps(report))
     return EXIT_OK if not violations else EXIT_VERIFY_FAIL

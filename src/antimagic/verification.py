@@ -141,8 +141,7 @@ def check_weight_classes(ol: OrientedLabeling, trace: ConstructionTrace) -> Veri
     )
     return VerificationReport(
         class_ranges=ranges,
-        # distinct weights |s| make the sums distinct
-        antimagic="all_weights_not_distinct" not in violations or pairwise_distinct(sums),
+        antimagic=pairwise_distinct(sums),
         violations=violations,
     )
 
