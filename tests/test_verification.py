@@ -173,6 +173,20 @@ class TestClaims:
         ol, trace = construct(c)
         assert all(ok for _, ok in check_claims(c, ol, trace))
 
+    def test_swapped_path_labels_break_claim2(self):
+        c = parse_caterpillar([4, 0, 0, 2, 0, 1, 3])  # m=16, k2=12
+        ol, trace = construct(c)
+        assert trace.light_order == (trace.decomposition.path[6],)
+        assert ol.labels[4:7] == (2, 14, 1)  # path edges come first, in path order
+        labels = list(ol.labels)
+        labels[4], labels[5] = labels[5], labels[4]
+        # the light vertex u_6's path weight |1 - 14| = 13 becomes |1 - 2| = 1, outside {k2, k2 + 1}
+        assert check_claims(c, ol.with_labels(tuple(labels)), trace) == [
+            ("claim1", True),
+            ("claim2", False),
+            ("claim3", True),
+        ]
+
     @given(caterpillars(), st.integers(0, 5))
     def test_all_claims_hold(self, c, seed):
         ol, trace = construct(c, seed=seed)
