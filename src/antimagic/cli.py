@@ -17,7 +17,7 @@ import traceback
 from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from itertools import chain, permutations
+from itertools import chain
 from operator import itemgetter
 
 from . import oracle as oracle_mod
@@ -35,7 +35,7 @@ from .graph_core import (
     parse_leaf_counts,
 )
 from .verification import check_claims, check_class_intervals, check_weight_classes
-from .verification import oriented_sums, pairwise_distinct, verify_antimagic
+from .verification import oriented_sums, pairwise_distinct, path_flows, verify_antimagic
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -103,10 +103,8 @@ def _read_instances(path: str | None) -> list[Caterpillar]:
     return out
 
 
-# An arc in a JSON document is an object with exactly these keys; for each of
-# their orders, where from, to and label sit in it.
+# An arc in a JSON document is an object with exactly these keys, written in this order.
 ARC_KEYS = ("from", "to", "label")
-ARC_ORDERS = {keys: tuple(map(keys.index, ARC_KEYS)) for keys in permutations(ARC_KEYS)}
 
 
 def _arc_objects(ol: OrientedLabeling) -> list[dict]:
@@ -165,12 +163,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
+def _type_name(value: object) -> str:
+    """The JSON value's Python type name; an arc-shaped object, which `_object` decodes as a triple, is a dict."""
+    return "dict" if type(value) is tuple else type(value).__name__
+
+
 def _int(value: object) -> int:
     """A JSON integer as it is; TypeError for anything else, floats and booleans included."""
     if type(value) is not int:
-        # an arc-shaped object, which `_object` decodes as a triple, is named as any other object
-        name = "dict" if type(value) is tuple else type(value).__name__
-        raise TypeError(f"expected an integer, got {name}")
+        raise TypeError(f"expected an integer, got {_type_name(value)}")
     return value
 
 
@@ -185,20 +186,19 @@ def _object(pairs: list[tuple[str, object]]) -> dict | tuple:
     """A decoded JSON object; InputError if a key repeats, since the last one would silently win.
 
     An object whose keys are exactly from, to and label, in any order, is
-    returned as the triple (from, to, label) without a dict being built.
+    returned as the triple (from, to, label). In the order documents are
+    written in, no dict is built for it.
     """
     if len(pairs) == 3:
         (a, x), (b, y), (c, z) = pairs
-        if (a, b, c) == ARC_KEYS:  # the order documents are written in
+        if (a, b, c) == ARC_KEYS:
             return x, y, z
-        at = ARC_ORDERS.get((a, b, c))
-        if at is not None:  # three distinct keys, so none repeats
-            values = x, y, z
-            return values[at[0]], values[at[1]], values[at[2]]
     obj = dict(pairs)
     if len(obj) != len(pairs):
         key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
         raise InputError(f"duplicate key {key!r}")
+    if obj.keys() == {*ARC_KEYS}:
+        return obj["from"], obj["to"], obj["label"]
     return obj
 
 
@@ -262,26 +262,18 @@ def _class_args_from_json(doc: dict, ol: OrientedLabeling) -> tuple | None:
     if min(path) < 0 or max(path) >= n:
         outside = next(v for v in path if not 0 <= v < n)
         raise InputError(f"vertex {outside} out of range for n={n}")
-    position = [-2] * n  # -2 off the path, so that no off-path vertex is one step from a path vertex
-    for i, v in enumerate(path):
-        position[v] = i
-    if position.count(-2) != n - len(path):
+    if not pairwise_distinct(path):
         repeated = next(v for v, count in Counter(path).items() if count > 1)
         raise InputError(f"path: vertex {repeated} repeats")
-    # A tree has one arc per edge, in one direction: each step of the path is
-    # met by at most one arc, an arc whose ends are one step apart on the path.
-    joined = bytearray(len(path))  # joined[i]: an arc meets the step from path[i] to path[i + 1]
-    for u, v in ol.arcs:
-        i, j = position[u], position[v]
-        if abs(i - j) == 1:
-            joined[min(i, j)] = 1
-    if joined.count(1) != len(path) - 1:
-        i = joined.index(0)
+    flows = path_flows(ol, path)
+    if 0 in flows:
+        i = flows.index(0)
         raise InputError(f"path: vertices {path[i]} and {path[i + 1]} are not joined by an arc")
     light, heavy = VertexClass.LIGHT, VertexClass.HEAVY
     path_classes = list(map(classes.__getitem__, path))
     if path_classes.count(light) + path_classes.count(heavy) != classes.count(light) + classes.count(heavy):
-        v, c = next((v, c) for v, c in enumerate(classes) if (c is light or c is heavy) and position[v] < 0)
+        on_path = set(path)
+        v, c = next((v, c) for v, c in enumerate(classes) if (c is light or c is heavy) and v not in on_path)
         raise InputError(f"classes: {c.value} vertex {v} is not on the path")
     return classes, path, k1, k2
 
@@ -302,12 +294,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if type(names) is list:
         try:
             doc["classes"] = [CLASS_OF[c] for c in names]
-        except KeyError as exc:
-            if type(exc.args[0]) is tuple:  # an arc-shaped object, unhashable as any other object is
-                raise InputError("bad classes: unhashable type: 'dict'") from exc
-            raise InputError(f"classes: unknown class {exc}") from exc
-        except TypeError as exc:
-            raise InputError(f"bad classes: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            name = next(c for c in names if type(c) is not str or c not in CLASS_OF)
+            if type(name) is not str:
+                raise InputError(f"bad classes: expected a class name, got {_type_name(name)}") from exc
+            raise InputError(f"classes: unknown class {name!r}") from exc
     del names
     # Each part of the document is dropped once read: arcs, classes, sums.
     ol = _labeling_from_json(doc)

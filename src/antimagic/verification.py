@@ -7,10 +7,9 @@ a bug in the construction's own sums cannot hide itself.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from operator import eq
+from itertools import chain
 
 from .construction import ConstructionTrace
 from .graph_core import (
@@ -38,18 +37,32 @@ def oriented_sums(ol: OrientedLabeling) -> list[int]:
 
 def verify_antimagic(ol: OrientedLabeling) -> bool:
     """True iff all oriented vertex sums are pairwise distinct."""
-    sums = oriented_sums(ol)
-    return len(set(sums)) == len(sums)
+    return pairwise_distinct(oriented_sums(ol))
 
 
-def _sorted_distinct(values: list[int]) -> bool:
-    """True iff no two neighbours of the sorted list are equal."""
-    return not any(map(eq, values, islice(values, 1, None)))
+def pairwise_distinct(values: Sequence[int]) -> bool:
+    """True iff no two of the values are equal."""
+    return len(set(values)) == len(values)
 
 
-def pairwise_distinct(values: Iterable[int]) -> bool:
-    """True iff the values are pairwise distinct; tested on a sorted copy, 8 bytes a value, not on a set."""
-    return _sorted_distinct(sorted(values))
+def path_flows(ol: OrientedLabeling, path: Sequence[int]) -> list[int]:
+    """For each step i of the path, the label of the arc path[i] -> path[i+1].
+
+    The label is negated when the arc runs path[i+1] -> path[i], and is 0 when
+    no arc joins the two; in a tree at most one arc does. The path's vertices
+    must be distinct.
+    """
+    position = [-2] * ol.n  # -2 off the path, so that no off-path vertex is one step from a path vertex
+    for i, v in enumerate(path):
+        position[v] = i
+    flows = [0] * (len(path) - 1)
+    for (tail, head), lbl in zip(ol.arcs, ol.labels):
+        i, j = position[tail], position[head]
+        if j - i == 1:
+            flows[i] = lbl
+        elif i - j == 1:
+            flows[j] = -lbl
+    return flows
 
 
 def check_class_intervals(
@@ -103,14 +116,14 @@ def check_class_intervals(
     for name, ws in groups.items():
         if not ws:
             continue
-        ws.sort()  # in place: the weights are held once
         lo, hi = bounds[name]
-        if not _sorted_distinct(ws):
+        if not pairwise_distinct(ws):
             groups_distinct = False
             violations.append(f"{name}_not_distinct")
-        if ws[0] < lo or (hi is not None and ws[-1] > hi):
+        least, most = min(ws), max(ws)
+        if least < lo or (hi is not None and most > hi):
             violations.append(f"{name}_range")
-        ranges[name] = (ws[0], ws[-1])
+        ranges[name] = (least, most)
 
     plain = [abs(sums[v]) for v in path if classes[v] is heavy and not next_to_leaf[v]]
     if any(a <= b for a, b in zip(plain, plain[1:])):
@@ -127,7 +140,7 @@ def check_class_intervals(
     if overlap:
         violations.append("class_ranges_overlap")
     # The groups partition the vertices: with disjoint ranges, weights distinct in each group are distinct overall.
-    if not groups_distinct or (overlap and not pairwise_distinct(chain.from_iterable(groups.values()))):
+    if not groups_distinct or (overlap and not pairwise_distinct([*chain.from_iterable(groups.values())])):
         violations.append("all_weights_not_distinct")
     return violations, ranges
 
@@ -162,19 +175,13 @@ def check_claims(
     d = trace.decomposition
     claim1 = p.k1 + p.k2 == c.m
 
-    path_arcs = {*d.path_edges, *((v, u) for u, v in d.path_edges)}  # both orientations
-    path_sums: dict[int, int] = {v: 0 for v in d.path}
-    for arc, lbl in zip(ol.arcs, ol.labels):
-        if arc in path_arcs:
-            tail, head = arc
-            path_sums[head] += lbl
-            path_sums[tail] -= lbl
-
+    # u_i's path weight is flows[i-1] - flows[i]; the 0 appended stands for the steps before u_0 and after u_k
+    flows = [*path_flows(ol, d.path), 0]
     path_index = {v: i for i, v in enumerate(d.path)}
     claim2 = True
     for v in trace.light_order:
         idx = path_index[v]
-        w = abs(path_sums[v])
+        w = abs(flows[idx - 1] - flows[idx])
         expect_high = idx % 2 == 0 or (d.trimmed_tail is not None and idx == d.k)
         if w != (p.k2 + 1 if expect_high else p.k2):
             claim2 = False

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -302,7 +303,7 @@ class TestVerify:
             ({"sums": {"x": 1}}, "sums"),
             ({"sums": [1, 2]}, "sums"),
             ({"path": [-1]}, "out of range"),
-            ({"classes": lambda doc: [["light"], *doc["classes"][1:]]}, "unhashable"),
+            ({"classes": lambda doc: [["light"], *doc["classes"][1:]]}, "expected a class name, got list"),
             ({"classes": lambda doc: ["medium", *doc["classes"][1:]]}, "unknown class"),
             ({"path": ["a"]}, "path"),
             ({"path": [99]}, "out of range"),
@@ -330,6 +331,9 @@ class TestVerify:
             # an arc has exactly the keys from, to and label
             ({"arcs": lambda doc: [*doc["arcs"][:-1], {**doc["arcs"][-1], "x": 0}]}, "arcs must be an array"),
             ({"arcs": lambda doc: [*doc["arcs"][:-1], {"from": 5, "to": 4}]}, "arcs must be an array"),
+            # a class entry that is not a string is no class name
+            ({"classes": lambda doc: [5, *doc["classes"][1:]]}, "expected a class name, got int"),
+            ({"classes": lambda doc: [None, *doc["classes"][1:]]}, "expected a class name, got NoneType"),
         ],
     )
     def test_malformed_document(self, capsys, monkeypatch, patch, message):
@@ -448,7 +452,12 @@ class TestVerify:
             (
                 lambda doc: doc["classes"].__setitem__(0, ARC),
                 EXIT_INPUT,
-                "input error: bad classes: unhashable type: 'dict'\n",
+                "input error: bad classes: expected a class name, got dict\n",
+            ),
+            (
+                lambda doc: doc["classes"].__setitem__(0, {**ARC, "from": [0]}),
+                EXIT_INPUT,
+                "input error: bad classes: expected a class name, got dict\n",
             ),
             (
                 lambda doc: doc.update(n=ARC),
@@ -473,7 +482,7 @@ class TestVerify:
         ],
         ids=[
             "extra_key", "reversed_keys", "no_label", "list_arc",
-            "arc_in_path", "arc_in_classes", "arc_as_n", "arc_in_sums", "arc_as_document", "no_arcs",
+            "arc_in_path", "arc_in_classes", "arc_with_a_list_in_classes", "arc_as_n", "arc_in_sums", "arc_as_document", "no_arcs",
         ],
     )
     def test_arc_decoding(self, capsys, monkeypatch, change, code, err):
@@ -486,7 +495,7 @@ class TestVerify:
         else:
             assert (out, got_err) == ("", err)
 
-    @pytest.mark.parametrize("keys", sorted(cli.ARC_ORDERS))
+    @pytest.mark.parametrize("keys", itertools.permutations(cli.ARC_KEYS))
     def test_arc_key_order(self, capsys, monkeypatch, keys):
         doc = self.construct_json(capsys, monkeypatch, "1 1 1\n")
         expected = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
