@@ -482,7 +482,8 @@ class TestVerify:
         ],
         ids=[
             "extra_key", "reversed_keys", "no_label", "list_arc",
-            "arc_in_path", "arc_in_classes", "arc_with_a_list_in_classes", "arc_as_n", "arc_in_sums", "arc_as_document", "no_arcs",
+            "arc_in_path", "arc_in_classes", "arc_with_a_list_in_classes",
+            "arc_as_n", "arc_in_sums", "arc_as_document", "no_arcs",
         ],
     )
     def test_arc_decoding(self, capsys, monkeypatch, change, code, err):
