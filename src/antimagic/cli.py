@@ -13,10 +13,8 @@ import os
 import random
 import sys
 import time
-import traceback
 from collections import Counter
 from collections.abc import Collection
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 
@@ -28,6 +26,7 @@ from .graph_core import (
     InputError,
     InvariantViolation,
     OrientedLabeling,
+    Record,
     ResourceLimitError,
     VertexClass,
     format_leaf_counts,
@@ -60,13 +59,14 @@ MAX_ORDER = 24
 CLASS_OF = {c.value: c for c in VertexClass}
 
 
-@dataclass
-class RunRecord:
-    line: str
-    m: int
-    seed: int
-    violations: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
+class RunRecord(Record):
+    __match_args__ = ("line", "m", "seed", "violations", "wall_time")
+
+    def __init__(
+        self, line: str, m: int, seed: int, violations: list[str] | None = None, wall_time: float = 0.0
+    ) -> None:
+        violations = [] if violations is None else violations
+        vars(self).update(line=line, m=m, seed=seed, violations=violations, wall_time=wall_time)
 
 
 def _read_text(path: str | None) -> str:
@@ -489,6 +489,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # any other failure is a bug too: one line that says where, not a traceback
+        import traceback  # only here: no correct run needs it
+
         where = traceback.extract_tb(exc.__traceback__)[-1]
         print(
             f"internal error: {type(exc).__name__}: {exc} "

@@ -20,7 +20,6 @@ caterpillar and every random draw in step 7.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .graph_core import (
     Arc,
@@ -31,6 +30,7 @@ from .graph_core import (
     LabelPartition,
     OrientedLabeling,
     PathDecomposition,
+    Record,
     VertexClass,
     longest_path_decomposition,
 )
@@ -41,16 +41,24 @@ LIGHT, HEAVY = VertexClass.LIGHT, VertexClass.HEAVY
 PATH_END_LEAF, NON_PATH_LEAF = VertexClass.PATH_END_LEAF, VertexClass.NON_PATH_LEAF
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(Record):
     """Everything the construction decided, for checkers and debug output."""
 
-    partition: LabelPartition
-    decomposition: PathDecomposition
-    classes: list[VertexClass]  # indexed by vertex
-    path_arc_directions: tuple[bool, ...]  # True: path edge i runs u_i -> u_{i+1}
-    light_order: tuple[int, ...]
-    heavy_order: tuple[int, ...]
+    __match_args__ = ("partition", "decomposition", "classes", "path_arc_directions", "light_order", "heavy_order")
+
+    def __init__(
+        self,
+        partition: LabelPartition,
+        decomposition: PathDecomposition,
+        classes: list[VertexClass],  # indexed by vertex
+        path_arc_directions: tuple[bool, ...],  # True: path edge i runs u_i -> u_{i+1}
+        light_order: tuple[int, ...],
+        heavy_order: tuple[int, ...],
+    ) -> None:
+        vars(self).update(
+            partition=partition, decomposition=decomposition, classes=classes,
+            path_arc_directions=path_arc_directions, light_order=light_order, heavy_order=heavy_order,
+        )
 
     @property
     def n_l(self) -> int:

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph_core import Caterpillar, InputError, parse_caterpillar
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(NamedTuple):
     spine_range: tuple[int, int] = (1, 10)
     leaf_budget: int = 10
 

@@ -8,7 +8,6 @@ the same instance is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, repeat
@@ -16,6 +15,38 @@ from typing import Optional
 
 Edge = tuple[int, int]  # unordered pair, stored as (min, max)
 Arc = tuple[int, int]   # ordered pair (tail, head)
+
+
+class Record:
+    """An immutable value, equal, hashed and shown by the fields `__match_args__` names.
+
+    A subclass's `__init__` stores the fields in `vars(self)`; assigning or
+    deleting an attribute afterwards raises AttributeError. The methods are
+    written once, here, so defining a record generates no code at import.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class InputError(ValueError):
@@ -74,22 +105,19 @@ def _tree_fault(n: int, pairs: tuple[tuple[int, int], ...]) -> str | None:
     return "edge set is not connected"
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(Record):
     """Undirected tree on vertices 0..n-1."""
 
-    n: int
-    edges: tuple[Edge, ...]
+    __match_args__ = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        fault = _tree_fault(self.n, self.edges)
+    def __init__(self, n: int, edges: tuple[Edge, ...]) -> None:
+        fault = _tree_fault(n, edges)
         if fault is not None:
             raise InputError(fault)
-        object.__setattr__(self, "edges", tuple(sorted([(u, v) if u < v else (v, u) for u, v in self.edges])))
+        vars(self).update(n=n, edges=tuple(sorted([(u, v) if u < v else (v, u) for u, v in edges])))
 
 
-@dataclass(frozen=True)
-class Caterpillar:
+class Caterpillar(Record):
     """Canonical caterpillar: spine vertices 0..s-1, then leaves in spine order.
 
     Only `parse_caterpillar` makes one. The construction and its checks need
@@ -97,9 +125,11 @@ class Caterpillar:
     `Tree`, on first read.
     """
 
-    leaf_counts: tuple[int, ...]  # per spine vertex 0..s-1
-    m: int  # edge count
-    r: int  # leaf count
+    __match_args__ = ("leaf_counts", "m", "r")
+
+    def __init__(self, leaf_counts: tuple[int, ...], m: int, r: int) -> None:
+        # the leaf count of each spine vertex 0..s-1, the edge count, the leaf count
+        vars(self).update(leaf_counts=leaf_counts, m=m, r=r)
 
     @cached_property
     def tree(self) -> Tree:
@@ -136,8 +166,7 @@ def parse_caterpillar(leaf_counts: list[int] | tuple[int, ...]) -> Caterpillar:
     return Caterpillar(leaf_counts=counts, m=s - 1 + r, r=r)
 
 
-@dataclass(frozen=True)
-class PathDecomposition:
+class PathDecomposition(Record):
     """Even-length initial segment of a longest path, plus the leftover edges.
 
     Every vertex off the path is a leaf of a path vertex, and in canonical
@@ -146,11 +175,19 @@ class PathDecomposition:
     spine ids, so (u_i, w) is already an Edge for each such leaf w.
     """
 
-    path: tuple[int, ...]                # u_0 .. u_k
-    k: int                               # number of path edges, always even
-    path_edges: tuple[Edge, ...]         # in path order
-    offpath_leaves: tuple[range, ...]    # per path index
-    trimmed_tail: Optional[int]          # the dropped endpoint when m - r is odd
+    __match_args__ = ("path", "k", "path_edges", "offpath_leaves", "trimmed_tail")
+
+    def __init__(
+        self,
+        path: tuple[int, ...],              # u_0 .. u_k
+        k: int,                             # number of path edges, always even
+        path_edges: tuple[Edge, ...],       # in path order
+        offpath_leaves: tuple[range, ...],  # per path index
+        trimmed_tail: Optional[int],        # the dropped endpoint when m - r is odd
+    ) -> None:
+        vars(self).update(
+            path=path, k=k, path_edges=path_edges, offpath_leaves=offpath_leaves, trimmed_tail=trimmed_tail
+        )
 
     @property
     def nonpath_edges(self) -> frozenset[Edge]:
@@ -190,13 +227,13 @@ def longest_path_decomposition(c: Caterpillar) -> PathDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class LabelPartition:
+class LabelPartition(Record):
     """Split of the label set [1, m] into L1 = [1,k1], L2 = (k1,k2], L3 = (k2,m]."""
 
-    m: int
-    k1: int
-    k2: int
+    __match_args__ = ("m", "k1", "k2")
+
+    def __init__(self, m: int, k1: int, k2: int) -> None:
+        vars(self).update(m=m, k1=k1, k2=k2)
 
     @property
     def L1(self) -> range:
@@ -218,19 +255,17 @@ class VertexClass(Enum):
     NON_PATH_LEAF = "leaf"
 
 
-@dataclass(frozen=True)
-class OrientedLabeling:
+class OrientedLabeling(Record):
     """An orientation of a tree plus a bijection from its arcs to [1, m]."""
 
-    n: int
-    arcs: tuple[Arc, ...]
-    labels: tuple[int, ...]  # labels[i] belongs to arcs[i]
+    __match_args__ = ("n", "arcs", "labels")
 
-    def __post_init__(self) -> None:
-        fault = _tree_fault(self.n, self.arcs)
+    def __init__(self, n: int, arcs: tuple[Arc, ...], labels: tuple[int, ...]) -> None:
+        fault = _tree_fault(n, arcs)
         if fault is not None:
             raise InputError(f"arcs do not form a tree: {fault}")
-        _check_labels(len(self.arcs), self.labels)
+        _check_labels(len(arcs), labels)
+        vars(self).update(n=n, arcs=arcs, labels=labels)  # labels[i] belongs to arcs[i]
 
     @property
     def m(self) -> int:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import permutations, product, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import verification
 from .construction import construct
@@ -21,8 +20,7 @@ DEFAULT_CAP = 8
 FULL_COUNT_MAX_M = 6  # exhaustive_search counts in full up to here even without count_all
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     m: int
     orientations_with_solution: int
     total_antimagic_pairs: int

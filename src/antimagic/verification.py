@@ -8,22 +8,25 @@ a bug in the construction's own sums cannot hide itself.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import chain
 
 from .construction import ConstructionTrace
 from .graph_core import (
     Caterpillar,
     OrientedLabeling,
+    Record,
     VertexClass,
 )
 
 
-@dataclass
-class VerificationReport:
-    class_ranges: dict[str, tuple[int, int]]
-    antimagic: bool
-    violations: list[str] = field(default_factory=list)
+class VerificationReport(Record):
+    __match_args__ = ("class_ranges", "antimagic", "violations")
+
+    def __init__(
+        self, class_ranges: dict[str, tuple[int, int]], antimagic: bool, violations: list[str] | None = None
+    ) -> None:
+        violations = [] if violations is None else violations
+        vars(self).update(class_ranges=class_ranges, antimagic=antimagic, violations=violations)
 
 
 def oriented_sums(ol: OrientedLabeling) -> list[int]:

@@ -334,6 +334,8 @@ class TestVerify:
             # a class entry that is not a string is no class name
             ({"classes": lambda doc: [5, *doc["classes"][1:]]}, "expected a class name, got int"),
             ({"classes": lambda doc: [None, *doc["classes"][1:]]}, "expected a class name, got NoneType"),
+            # vertex n is one past the last vertex
+            ({"path": lambda doc: [*doc["path"][:-1], doc["n"]]}, "vertex 6 out of range for n=6"),
         ],
     )
     def test_malformed_document(self, capsys, monkeypatch, patch, message):
@@ -344,6 +346,13 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert out == ""
         assert message in err
+
+    def test_declared_sum_wrong_only_at_vertex_0(self, capsys, monkeypatch):
+        doc = self.construct_json(capsys, monkeypatch, "1 1 1\n")
+        doc["sums"][0] += 1
+        code, out, _ = run(capsys, monkeypatch, ["verify", "-"], stdin=json.dumps(doc))
+        assert code == EXIT_VERIFY_FAIL
+        assert json.loads(out)["violations"] == ["declared_sums_mismatch"]
 
     @pytest.mark.parametrize(
         "old, new",

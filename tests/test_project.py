@@ -71,6 +71,29 @@ def test_oracle_recount_reads_nothing_from_the_package():
     assert read & imported == set()
 
 
+IMPORT_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import antimagic, antimagic.cli, antimagic.generators, antimagic.oracle
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_dataclasses_inspect_or_traceback():
+    # Importing is a large share of a one-instance CLI run, and these modules
+    # (with the ast, dis and tokenize that inspect loads) serve no correct run.
+    # The site module may have loaded some of them already: only the import's
+    # own additions count.
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(ROOT / "src")], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "antimagic.cli" in added
+    assert added & {"dataclasses", "inspect", "traceback"} == set()
+
+
 FAILING_PROPERTY = """
 from hypothesis import given, strategies as st
 

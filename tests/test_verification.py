@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -66,8 +67,8 @@ class TestVerifyAntimagic:
         assert verify_antimagic(ol) == verify_antimagic(reversed_ol)
 
     @given(st.lists(st.integers(-30, 30)))
-    def test_pairwise_distinct_agrees_with_a_set(self, values):
-        assert pairwise_distinct(values) == (len(set(values)) == len(values))
+    def test_pairwise_distinct_agrees_with_pairwise_comparison(self, values):
+        assert pairwise_distinct(values) == all(a != b for a, b in itertools.combinations(values, 2))
 
 
 class TestWeightClasses:
@@ -189,6 +190,27 @@ class TestClaims:
         labels[4], labels[5] = labels[5], labels[4]
         # the light vertex u_6's path weight |1 - 14| = 13 becomes |1 - 2| = 1, outside {k2, k2 + 1}
         assert check_claims(c, ol.with_labels(tuple(labels)), trace) == [
+            ("claim1", True),
+            ("claim2", False),
+            ("claim3", True),
+        ]
+
+    def test_high_weight_at_an_odd_index_breaks_claim2(self):
+        # The first instance a search of order <= 12 found where one label swap
+        # leaves every light weight in {k2, k2 + 1} but puts k2 + 1 at an odd
+        # path index: claim 2 must fail on the parity alone.
+        c = parse_caterpillar([1, 0, 0, 0, 2])  # m=7, k2=4
+        ol, trace = construct(c)
+        assert trace.partition.k2 == 4
+        assert trace.light_order == (trace.decomposition.path[5],)
+        assert ol.labels[3:6] == (6, 1, 5)  # path edges 3, 4 and 5
+        labels = list(ol.labels)
+        labels[3], labels[5] = labels[5], labels[3]
+        forged = ol.with_labels(tuple(labels))
+        # u_5's path weight |1 - 5| = 4 = k2 becomes |1 - 6| = 5 = k2 + 1
+        flows = path_flows(forged, trace.decomposition.path)
+        assert (flows[4], flows[5]) == (1, 6)
+        assert check_claims(c, forged, trace) == [
             ("claim1", True),
             ("claim2", False),
             ("claim3", True),
