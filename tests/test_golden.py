@@ -4,7 +4,8 @@ The first digest pins the arcs, labels and every ordering the construction
 decides, over every caterpillar of order at most 12 (three seeds each) and
 300 seeded random instances with at most 1,000 edges. The others pin the
 bytes `construct --format tsv`, `--format dot` and `--format json` print for
-every caterpillar of order at most 10 at seed 4. A refactor must leave them
+every caterpillar of order at most 10 at seed 4, and `gen --random` prints
+for the argument lists in GEN_RANDOM_SHA256. A refactor must leave them
 unchanged; a deliberate change of output must say why and record the new
 digest.
 """
@@ -32,6 +33,18 @@ FORMAT_SHA256 = {
 # The same JSON lines each re-encoded by `json.dumps` with its default separators:
 # the documents as they were written before construct dropped the spaces.
 SPACED_JSON_SHA256 = "d2adeaace9ee04c4ee120cb166fd2eb6b2e3069d18bd28890feab1da04b1339b"
+# `gen --random` stdout, keyed by the arguments after --random. One rng serves
+# every line, so each digest pins the draws and the rng state between lines:
+# the defaults; spine 1, where every leaf draw is one bit and half are drawn
+# again; spines 1 to 3 mixed; a spine of 2^6 and of 2^6 + 1; `large`'s shape.
+GEN_RANDOM_SHA256 = {
+    "--count 50 --seed 1": "346ce68213741b56560b02599ffec8023c0df3f17a387dc04fa7d738f3e700f5",
+    "--count 50 --seed 1 --spine-min 1 --spine-max 1 --leaf-budget 40": "0c1b3236f9e91fbfcd8209d6636479611a6bd5180b81d68198458679dbf6e9c8",
+    "--count 50 --seed 1 --spine-min 1 --spine-max 3 --leaf-budget 40": "01c4dfb50563ba372214b69e5448334a3287e36fba1afa454ce6bcaa6cea918a",
+    "--count 50 --seed 1 --spine-min 64 --spine-max 64 --leaf-budget 1000": "8ca909214527dc56a90c672c5958a66e779941e752572690a69c88062cc2bcf2",
+    "--count 50 --seed 1 --spine-min 65 --spine-max 65 --leaf-budget 1000": "b2b2e336ee679dc058afeb95cc6304cd73abd81a155bcf7e6d77084d04ded217",
+    "--count 1 --seed 1 --spine-min 33333 --spine-max 33333 --leaf-budget 66668": "9d7267907a8889b54fc6338e74e4d91771dc3fac746966e894a5c53321d10282",
+}
 
 
 def construction_record(c, seed: int) -> tuple:
@@ -82,3 +95,11 @@ def test_json_differs_from_the_spaced_documents_only_in_whitespace(monkeypatch):
     lines = construct_output(monkeypatch, "json").splitlines()
     spaced = "".join(json.dumps(json.loads(line)) + "\n" for line in lines)
     assert hashlib.sha256(spaced.encode()).hexdigest() == SPACED_JSON_SHA256
+
+
+@pytest.mark.parametrize("args", list(GEN_RANDOM_SHA256))
+def test_gen_random_digest(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gen", "--random", *args.split()]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GEN_RANDOM_SHA256[args]
