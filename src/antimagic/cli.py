@@ -412,17 +412,26 @@ def cmd_stress(args: argparse.Namespace) -> int:
     tasks = ((i, args.seed, args.max_m) for i in range(args.count))
     summary = {"instances": 0, "max_m": 0, "violations": 0}
     wall_time = 0.0
-    for r in map(_stress_one, tasks):  # each record is read as it arrives and dropped
+    slowest = None
+    for r in map(_stress_one, tasks):  # each record is read as it arrives and dropped, but the slowest
         if r.violations:
             print(json.dumps({"line": r.line, "seed": r.seed, "violations": r.violations}))
         summary["instances"] += 1
         summary["max_m"] = max(summary["max_m"], r.m)
         summary["violations"] += len(r.violations)
         wall_time += r.wall_time
+        if slowest is None or r.wall_time > slowest.wall_time:
+            slowest = r
     print(json.dumps(summary))
     # timing goes to stderr so stdout stays byte-identical across repeat runs
     mean = wall_time / summary["instances"] if summary["instances"] else 0.0
     print(f"mean wall time per instance: {mean:.6f}s", file=sys.stderr)
+    if slowest is not None:
+        print(
+            f'slowest instance: {slowest.wall_time:.6f}s, m={slowest.m}: '
+            f'echo "{slowest.line}" | antimagic construct - --seed {slowest.seed}',
+            file=sys.stderr,
+        )
     return EXIT_VERIFY_FAIL if summary["violations"] else EXIT_OK
 
 

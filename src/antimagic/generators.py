@@ -52,6 +52,11 @@ def random_caterpillar(cfg: GeneratorConfig, rng: random.Random) -> Caterpillar:
 
     End counts are bumped afterwards to keep the sequence canonical, so the
     actual leaf count may exceed the budget by up to two.
+
+    rng must be a `random.Random` whose draws come from `getrandbits`. Each
+    leaf's spine vertex is drawn as `rng.randrange(s)` would draw it: words of
+    s.bit_length() bits, drawn again until one is below s. So the instances,
+    and the state rng is left in, equal those of a `randrange` per leaf.
     """
     lo, hi = cfg.spine_range
     if lo < 1 or hi < lo:
@@ -60,8 +65,13 @@ def random_caterpillar(cfg: GeneratorConfig, rng: random.Random) -> Caterpillar:
         raise InputError("leaf budget must be at least 2")
     s = rng.randint(lo, hi)
     counts = [0] * s
+    k = s.bit_length()
+    getrandbits = rng.getrandbits
     for _ in range(cfg.leaf_budget):
-        counts[rng.randrange(s)] += 1
+        r = getrandbits(k)
+        while r >= s:
+            r = getrandbits(k)
+        counts[r] += 1
     if s == 1:
         counts[0] = max(counts[0], 2)
     else:

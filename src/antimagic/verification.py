@@ -169,7 +169,8 @@ def check_claims(
 
     claim1: k1 + k2 = m.
     claim2: every light vertex's path weight is k2 or k2+1, with k2+1 exactly
-            at even path indices and at the odd-case endpoint.
+            at even path indices. The path u_0..u_k has k even, so the
+            odd-case endpoint u_k sits at the even index k.
     claim3: the number of light vertices is at most k1 - 1.
 
     Path weights are recomputed from the final arcs restricted to path edges.
@@ -185,7 +186,7 @@ def check_claims(
     for v in trace.light_order:
         idx = path_index[v]
         w = abs(flows[idx - 1] - flows[idx])
-        expect_high = idx % 2 == 0 or (d.trimmed_tail is not None and idx == d.k)
+        expect_high = idx % 2 == 0
         if w != (p.k2 + 1 if expect_high else p.k2):
             claim2 = False
     claim3 = trace.n_l <= p.k1 - 1

@@ -848,9 +848,10 @@ class TestStress:
         assert summary["violations"] == 0
 
     def test_zero_count(self, capsys, monkeypatch):
-        code, out, _ = run(capsys, monkeypatch, ["stress", "--count", "0"])
+        code, out, err = run(capsys, monkeypatch, ["stress", "--count", "0"])
         assert code == EXIT_OK
         assert json.loads(out.splitlines()[-1])["instances"] == 0
+        assert err == "mean wall time per instance: 0.000000s\n"  # and no slowest instance
 
     def test_repeatable(self, capsys, monkeypatch):
         args = ["stress", "--count", "10", "--max-m", "40", "--seed", "3"]
@@ -866,6 +867,28 @@ class TestStress:
         code, out, _ = run(capsys, monkeypatch, argv)
         assert code == EXIT_OK
         assert json.loads(out.splitlines()[-1])["max_m"] <= max_m
+
+    def test_slowest_instance_named_with_its_reproducer(self, capsys, monkeypatch):
+        args = ["stress", "--count", "6", "--max-m", "40", "--seed", "3"]
+        _, plain, _ = run(capsys, monkeypatch, args)
+        stress_one = cli._stress_one
+
+        def instance_2_slowest(task):
+            r = stress_one(task)
+            return cli.RunRecord(r.line, r.m, r.seed, r.violations, 9.0 if task[0] == 2 else r.wall_time)
+
+        monkeypatch.setattr(cli, "_stress_one", instance_2_slowest)
+        code, out, err = run(capsys, monkeypatch, args)
+        assert (code, out) == (EXIT_OK, plain)
+        mean, slowest = err.splitlines()
+        assert mean.startswith("mean wall time per instance: ")
+        expected = stress_one((2, 3, 40))
+        assert slowest == (
+            f'slowest instance: 9.000000s, m={expected.m}: '
+            f'echo "{expected.line}" | antimagic construct - --seed 5'
+        )
+        code, _, _ = run(capsys, monkeypatch, ["construct", "-", "--seed", "5"], stdin=expected.line + "\n")
+        assert code == EXIT_OK
 
     def test_failures_printed_as_they_arrive(self, capsys, monkeypatch):
         stress_one = cli._stress_one

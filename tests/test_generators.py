@@ -62,6 +62,24 @@ class TestEnumerate:
             assert not nx.is_isomorphic(a, b)
 
 
+def randrange_leaf_counts(cfg: GeneratorConfig, rng: random.Random) -> tuple[int, ...]:
+    """random_caterpillar's leaf counts as it drew them with `rng.randrange`, one call a leaf."""
+    lo, hi = cfg.spine_range
+    s = rng.randint(lo, hi)
+    counts = [0] * s
+    for _ in range(cfg.leaf_budget):
+        counts[rng.randrange(s)] += 1
+    counts[0] = max(counts[0], 2 if s == 1 else 1)
+    counts[-1] = max(counts[-1], 2 if s == 1 else 1)
+    return tuple(counts)
+
+
+# Each draw is a word of s.bit_length() bits, drawn again while it is at least
+# s: at s = 1 and the other powers of two about half are drawn again, at
+# 2^j - 1 almost none, and at 2^j + 1 just under half.
+SPINES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257, 1000]
+
+
 class TestRandom:
     def test_deterministic(self):
         cfg = GeneratorConfig(spine_range=(2, 9), leaf_budget=7)
@@ -89,3 +107,16 @@ class TestRandom:
             c = parse_caterpillar(counts)
             assert nx_is_caterpillar(nx.Graph(c.tree.edges))
             assert parse_leaf_counts(format_leaf_counts(c)) == c.leaf_counts
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize(
+        "spine_range, budget",
+        [((s, s), b) for s in SPINES for b in (2, 3, 97)] + [((1, 3), 40), ((1, 70), 500), ((33333, 33333), 66668)],
+    )
+    def test_draws_equal_randrange(self, seed, spine_range, budget):
+        # the same leaf counts and rng state as a randrange per leaf, over several calls on one rng
+        cfg = GeneratorConfig(spine_range=spine_range, leaf_budget=budget)
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3 if budget < 1000 else 2):
+            assert random_caterpillar(cfg, rng).leaf_counts == randrange_leaf_counts(cfg, reference)
+            assert rng.getstate() == reference.getstate()

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from antimagic.construction import construct
-from antimagic.graph_core import InputError, OrientedLabeling, parse_caterpillar, parse_leaf_counts
+from antimagic.construction import ConstructionTrace, construct
+from antimagic.graph_core import InputError, LabelPartition, OrientedLabeling, parse_caterpillar, parse_leaf_counts
 from antimagic.verification import (
     check_claims,
+    check_class_intervals,
     check_weight_classes,
     oriented_sums,
     pairwise_distinct,
@@ -148,6 +149,32 @@ class TestWeightClasses:
         assert report.violations == violations
         assert report.antimagic == verify_antimagic(bad)
 
+    @pytest.mark.parametrize(
+        "group, bound, step",
+        [
+            ("light", lambda m, k1, k2: k1 - 1, 1),
+            ("degree_one", lambda m, k1, k2: k1, -1),
+            ("degree_one", lambda m, k1, k2: k2 + 1, 1),
+            ("heavy_no_heavy_edge", lambda m, k1, k2: k2 + 2, -1),
+            ("heavy_no_heavy_edge", lambda m, k1, k2: m + k1, 1),
+            ("heavy_with_heavy_edge", lambda m, k1, k2: m + k1 + 1, -1),
+        ],
+        ids=["light<=k1-1", "degree_one>=k1", "degree_one<=k2+1", "plain>=k2+2", "plain<=m+k1", "heavy_edge>=m+k1+1"],
+    )
+    def test_each_interval_bound(self, group, bound, step):
+        # one vertex of the group weighs the bound itself, then one step outside it
+        c = parse_caterpillar([4, 0, 0, 2, 0, 1, 3])  # m=16, k1=4, k2=12: all four groups occur
+        ol, trace = construct(c)
+        p, path = trace.partition, trace.decomposition.path
+        sums = oriented_sums(ol)
+        least = check_weight_classes(ol, trace).class_ranges[group][0]
+        v = next(v for v, s in enumerate(sums) if abs(s) == least)  # weights are distinct: v is in the group
+        edge = bound(c.m, p.k1, p.k2)
+        for weight, outside in ((edge, False), (edge + step, True)):
+            sums[v] = weight
+            violations, _ = check_class_intervals(ol, sums, trace.classes, path, p.k1, p.k2)
+            assert (f"{group}_range" in violations) == outside
+
     @given(caterpillars(), st.integers(0, 5))
     def test_class_intervals_nested(self, c, seed):
         ol, trace = construct(c, seed=seed)
@@ -213,6 +240,18 @@ class TestClaims:
         assert check_claims(c, forged, trace) == [
             ("claim1", True),
             ("claim2", False),
+            ("claim3", True),
+        ]
+
+    def test_split_not_summing_to_m_breaks_claim1(self):
+        c = parse_caterpillar([4, 0, 0, 2, 0, 1, 3])  # m=16, k1=4, k2=12
+        ol, trace = construct(c)
+        p = trace.partition
+        # k1 one higher: claim 3's bound k1 - 1 only loosens and claim 2 reads k2 alone
+        forged = ConstructionTrace(**{**vars(trace), "partition": LabelPartition(m=p.m, k1=p.k1 + 1, k2=p.k2)})
+        assert check_claims(c, ol, forged) == [
+            ("claim1", False),
+            ("claim2", True),
             ("claim3", True),
         ]
 
