@@ -4,8 +4,9 @@ The first digest pins the arcs, labels and every ordering the construction
 decides, over every caterpillar of order at most 12 (three seeds each) and
 300 seeded random instances with at most 1,000 edges. The others pin the
 bytes `construct --format tsv`, `--format dot` and `--format json` print for
-every caterpillar of order at most 10 at seed 4, and `gen --random` prints
-for the argument lists in GEN_RANDOM_SHA256. A refactor must leave them
+every caterpillar of order at most 10 at seed 4, `gen --random` prints
+for the argument lists in GEN_RANDOM_SHA256, and `oracle -` prints for
+every caterpillar of order at most 9. A refactor must leave them
 unchanged; a deliberate change of output must say why and record the new
 digest.
 """
@@ -45,6 +46,10 @@ GEN_RANDOM_SHA256 = {
     "--count 50 --seed 1 --spine-min 65 --spine-max 65 --leaf-budget 1000": "b2b2e336ee679dc058afeb95cc6304cd73abd81a155bcf7e6d77084d04ded217",
     "--count 1 --seed 1 --spine-min 33333 --spine-max 33333 --leaf-budget 66668": "9d7267907a8889b54fc6338e74e4d91771dc3fac746966e894a5c53321d10282",
 }
+# `oracle -` stdout over the 78 lines of `gen --max-n 9`: lines with m <= 6 are
+# counted in full, and lines with m = 7 or 8 stop each orientation at its first
+# antimagic labeling, so `pairs_enumerated` pins the early exit too.
+ORACLE_SHA256 = "ad846bf2a3620171558e40d35bc3e7f5b27d4888b4d23fb417246c2025c1703f"
 
 
 def construction_record(c, seed: int) -> tuple:
@@ -103,3 +108,12 @@ def test_gen_random_digest(args):
     with contextlib.redirect_stdout(out):
         assert main(["gen", "--random", *args.split()]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GEN_RANDOM_SHA256[args]
+
+
+def test_oracle_digest(monkeypatch):
+    lines = "".join(format_leaf_counts(c) + "\n" for c in enumerate_caterpillars(9))
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["oracle", "-"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ORACLE_SHA256
