@@ -3,7 +3,7 @@
 
 Prints one summary row per order, the CPU seconds the run took (process time:
 wall time on a shared machine also counts time other processes hold the CPU)
-and a final verdict. A failure is printed as
+and their mean per construction with its checks, and a final verdict. A failure is printed as
 FAIL and the record `antimagic stress` prints for one: the leaf-count line,
 the seed and the names of the failed checks, so
 `echo "<line>" | antimagic construct - --seed <seed>` replays it. Exit 1 on
@@ -57,7 +57,8 @@ def main() -> int:
         print(f"{n:>6} {inst:>10} {fails:>9}")
     total_fails = sum(f for _, f in per_order.values())
     total = sum(i for i, _ in per_order.values())
-    print(f"checked {total} instances x {args.seeds} seeds in {cpu_seconds:.1f} s CPU")
+    us_each = cpu_seconds / (total * args.seeds) * 1e6
+    print(f"checked {total} instances x {args.seeds} seeds in {cpu_seconds:.1f} s CPU, {us_each:.0f} us each")
     print("all antimagic" if total_fails == 0 else f"{total_fails} FAILURES")
     return 0 if total_fails == 0 else 1
 

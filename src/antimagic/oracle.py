@@ -3,6 +3,8 @@
 The search is deliberately dumb: every orientation is an edge-indexed bitmask,
 every labeling a lexicographic permutation of [1, m], and the antimagic test
 is a direct sum recount that shares no code with the verification module.
+Only `_arcs` reads an orientation's bits. The recount judges the arcs `_arcs`
+decodes, or in confirm_construction the constructed arcs as they are.
 """
 
 from __future__ import annotations
@@ -28,21 +30,12 @@ class OracleResult(NamedTuple):
     pairs_enumerated: int
 
 
-def sums_distinct(n: int, edges: tuple, orientation: int, labeling: tuple) -> bool:
-    """Antimagic test for one (orientation bitmask, label permutation) pair.
-
-    Bit i set means edges[i] = (u, v) with u < v runs v -> u; clear means u -> v.
-    labeling[i] is the label of edges[i].
-    """
+def sums_distinct(n: int, arcs: tuple[Arc, ...], labels: tuple[int, ...]) -> bool:
+    """Antimagic test for one oriented labeling: labels[i] leaves arcs[i]'s tail and enters its head."""
     sums = [0] * n
-    for i, (u, v) in enumerate(edges):
-        lbl = labeling[i]
-        if orientation >> i & 1:
-            sums[u] += lbl
-            sums[v] -= lbl
-        else:
-            sums[v] += lbl
-            sums[u] -= lbl
+    for (tail, head), lbl in zip(arcs, labels):
+        sums[head] += lbl
+        sums[tail] -= lbl
     return len(set(sums)) == n
 
 
@@ -52,6 +45,7 @@ def _check_cap(m: int, cap: int) -> None:
 
 
 def _arcs(edges: tuple, orientation: int) -> tuple[Arc, ...]:
+    """Bit i set means edges[i] = (u, v) with u < v runs v -> u; clear means u -> v."""
     return tuple((v, u) if orientation >> i & 1 else (u, v) for i, (u, v) in enumerate(edges))
 
 
@@ -65,20 +59,20 @@ def exhaustive_search(t: Tree, cap: int = DEFAULT_CAP, count_all: bool = False) 
     m = len(t.edges)
     _check_cap(m, cap)
     count_all = count_all or m <= FULL_COUNT_MAX_M
-    edges = t.edges
     n = t.n
     witness = None
     good_orientations = 0
     total_pairs = 0
     enumerated = 0
     for orientation in range(1 << m):
+        arcs = _arcs(t.edges, orientation)
         hit_here = 0
         for labeling in permutations(range(1, m + 1)):
             enumerated += 1
-            if sums_distinct(n, edges, orientation, labeling):
+            if sums_distinct(n, arcs, labeling):
                 hit_here += 1
                 if witness is None:
-                    witness = OrientedLabeling(n=n, arcs=_arcs(edges, orientation), labels=labeling)
+                    witness = OrientedLabeling(n=n, arcs=arcs, labels=labeling)
                 if not count_all:
                     break
         if hit_here:
@@ -99,11 +93,7 @@ def confirm_construction(c: Caterpillar, seed: int = 0) -> bool:
     ol, _ = construct(c, seed=seed)
     if {(u, v) if u < v else (v, u) for u, v in ol.arcs} != set(c.tree.edges):
         return False
-    label_of = dict(zip(ol.arcs, ol.labels))
-    orientation = sum(1 << i for i, (u, v) in enumerate(c.tree.edges) if (v, u) in label_of)
-    labeling = tuple(label_of.get((u, v)) or label_of[(v, u)] for u, v in c.tree.edges)
-    accepted = sums_distinct(c.tree.n, c.tree.edges, orientation, labeling)
-    return accepted and verification.verify_antimagic(ol)
+    return sums_distinct(c.tree.n, ol.arcs, ol.labels) and verification.verify_antimagic(ol)
 
 
 def _disagreements(t: Tree, pairs: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[int, int]:
@@ -117,13 +107,12 @@ def _disagreements(t: Tree, pairs: Iterable[tuple[int, tuple[int, ...]]]) -> tup
     mismatches = 0
     for orientation, labeling in pairs:
         checked += 1
-        a = sums_distinct(t.n, t.edges, orientation, labeling)
         ol = first.get(orientation)
         if ol is None:
             ol = first[orientation] = OrientedLabeling(n=t.n, arcs=_arcs(t.edges, orientation), labels=labeling)
         else:
             ol = ol.with_labels(labeling)
-        if a != verification.verify_antimagic(ol):
+        if sums_distinct(t.n, ol.arcs, ol.labels) != verification.verify_antimagic(ol):
             mismatches += 1
     return checked, mismatches
 

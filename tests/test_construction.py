@@ -1,4 +1,8 @@
 
+import math
+from itertools import permutations
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +13,12 @@ from antimagic.construction import (
     construct,
     label_path_edges,
 )
+from antimagic.generators import enumerate_caterpillars
 from antimagic.graph_core import (
     InputError,
     InvariantViolation,
     VertexClass,
+    format_leaf_counts,
     parse_caterpillar,
     parse_leaf_counts,
 )
@@ -254,6 +260,36 @@ class TestPaperExampleReconstruction:
         assert order == (by_index[4], by_index[7], by_index[1])
         deferred_labels = [labels[e] for e in labels if e not in phase1]
         assert sorted(deferred_labels) == [6, 8, 11]
+
+
+def test_every_step7_draw_up_to_order_10(monkeypatch):
+    # Phase 1 labels all but one heavy edge of each heavy vertex from the pool
+    # [k1 + 1, k2 - n_l], and that fixes phase 2. So each caterpillar has one
+    # outcome per sequence of distinct pool labels phase 1 can draw, and a
+    # shuffle that leaves the sequence at the pool's end drives each of them.
+    cases = []
+    for c in enumerate_caterpillars(10):
+        _, trace = construct(c)
+        p = trace.partition
+        pool = range(p.k1 + 1, p.k2 - trace.n_l + 1)
+        cases.append((c, pool, len(pool) - len(trace.heavy_order)))  # one deferred edge per phase-2 vertex
+    arrangement = []
+    monkeypatch.setattr(construction, "random", SimpleNamespace(Random=lambda seed: _ScriptedShuffle(arrangement)))
+    outcomes, failures = 0, []
+    for c, pool, drawn_count in cases:
+        labelings = set()
+        for drawn in permutations(pool, drawn_count):
+            # phase 1 pops from the end, so it draws `drawn` in order
+            arrangement[:] = [*sorted(set(pool) - set(drawn)), *reversed(drawn)]
+            ol, trace = construct(c)
+            labelings.add(ol.labels)
+            report = check_weight_classes(ol, trace)
+            if not report.antimagic or report.violations or not all(ok for _, ok in check_claims(c, ol, trace)):
+                failures.append((format_leaf_counts(c), drawn))
+        assert len(labelings) == math.perm(len(pool), drawn_count)  # every draw is its own outcome
+        outcomes += len(labelings)
+    assert failures == []
+    assert outcomes == 22_071
 
 
 class TestConstructProperties:

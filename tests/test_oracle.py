@@ -69,9 +69,9 @@ class TestAgreement:
         seen = []
         real = oracle.sums_distinct
 
-        def recorded(n, edges, orientation, labeling):
-            seen.append((orientation, labeling))
-            return real(n, edges, orientation, labeling)
+        def recorded(n, arcs, labeling):
+            seen.append((arcs, labeling))
+            return real(n, arcs, labeling)
 
         monkeypatch.setattr(oracle, "sums_distinct", recorded)
         t = parse_caterpillar([1, 0, 1, 0, 1]).tree  # m = 7
@@ -81,7 +81,7 @@ class TestAgreement:
         rng = random.Random(5)
         draws = [rng.randrange(2**7 * math.factorial(7)) for _ in range(50)]
         ranked = lambda rank: next(islice(permutations(range(1, 8)), rank, None))
-        assert seen == [(r % 2**7, ranked(r // 2**7)) for r in draws]
+        assert seen == [(oracle._arcs(t.edges, r % 2**7), ranked(r // 2**7)) for r in draws]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_every_index_decodes_to_a_distinct_pair(self, m):
@@ -123,9 +123,9 @@ class TestAgreement:
         pairs, judged = [], []
         real_sums, real_verify = oracle.sums_distinct, verification.verify_antimagic
 
-        def sums(n, edges, orientation, labeling):
-            pairs.append((orientation, labeling))
-            return real_sums(n, edges, orientation, labeling)
+        def sums(n, arcs, labeling):
+            pairs.append((arcs, labeling))
+            return real_sums(n, arcs, labeling)
 
         def verify(ol):
             try:
@@ -141,5 +141,12 @@ class TestAgreement:
         t = parse_caterpillar([1, 1, 1]).tree
         assert agreement_on_random_pairs(t, pairs=2000, seed=5) == 0
         assert agreement_on_all_pairs(t) == (32 * 120, 0)
-        assert len(judged) == 2000 + 32 * 120
-        assert judged == [(oracle._arcs(t.edges, orientation), labeling) for orientation, labeling in pairs]
+        # The oracle judges each draw, then each enumerated pair, in order; the
+        # verifier judges the same checked arcs and labels.
+        labelings = list(permutations(range(1, 6)))
+        rng = random.Random(5)
+        draws = [rng.randrange(2**5 * 120) for _ in range(2000)]
+        expected = [(oracle._arcs(t.edges, r % 2**5), labelings[r // 2**5]) for r in draws]
+        expected += [(oracle._arcs(t.edges, o), labeling) for o, labeling in product(range(32), labelings)]
+        assert pairs == expected
+        assert judged == pairs

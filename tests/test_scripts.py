@@ -2,6 +2,7 @@
 and refuses bad arguments with the CLI's exit codes."""
 
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -59,8 +60,10 @@ def test_verify_enumeration_prints_a_replayable_failure(capsys, monkeypatch):
     with pytest.raises(SystemExit) as done:
         runpy.run_path(str(ROOT / "scripts" / "verify_enumeration.py"), run_name="__main__")
     assert done.value.code == 1
-    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    out = capsys.readouterr().out.splitlines()
+    fails = [line for line in out if line.startswith("FAIL")]
     assert fails == [
         'FAIL {"line": "2", "seed": 0, "violations": ["claim3"]}',
         'FAIL {"line": "2", "seed": 1, "violations": ["claim3"]}',
     ]
+    assert re.fullmatch(r"checked 3 instances x 2 seeds in \d+\.\d s CPU, \d+ us each", out[-2])

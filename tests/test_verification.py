@@ -6,7 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from antimagic.construction import ConstructionTrace, construct
-from antimagic.graph_core import InputError, LabelPartition, OrientedLabeling, parse_caterpillar, parse_leaf_counts
+from antimagic.graph_core import (
+    InputError,
+    LabelPartition,
+    OrientedLabeling,
+    VertexClass,
+    parse_caterpillar,
+    parse_leaf_counts,
+)
 from antimagic.verification import (
     check_claims,
     check_class_intervals,
@@ -175,6 +182,52 @@ class TestWeightClasses:
             violations, _ = check_class_intervals(ol, sums, trace.classes, path, p.k1, p.k2)
             assert (f"{group}_range" in violations) == outside
 
+    def test_increasing_plain_heavy_weights_are_not_decreasing(self):
+        c = parse_caterpillar([4, 0, 0, 2, 0, 1, 3])  # m=16, k1=4, k2=12
+        ol, trace = construct(c)
+        p, path = trace.partition, trace.decomposition.path
+        sums = oriented_sums(ol)
+        # u_2 and u_3 are heavy without a heavy edge; weights 19 > 18 lie in [k2 + 2, m + k1]
+        u2, u3 = path[2], path[3]
+        assert (abs(sums[u2]), abs(sums[u3])) == (19, 18)
+        assert check_class_intervals(ol, sums, trace.classes, path, p.k1, p.k2)[0] == []
+        sums[u2], sums[u3] = sums[u3], sums[u2]  # still distinct and in range, now increasing
+        violations, _ = check_class_intervals(ol, sums, trace.classes, path, p.k1, p.k2)
+        assert violations == ["heavy_no_heavy_edge_not_decreasing"]
+
+    def test_uk_weight_is_checked_only_at_a_path_end_leaf(self):
+        # m - r odd trims the path: u_k is heavy ("1 1") or light ("1 0 0 0 1 1"), never k2 + 1
+        for counts in ([1, 1], [1, 0, 0, 0, 1, 1]):
+            ol, trace = construct(parse_caterpillar(counts))
+            p, path = trace.partition, trace.decomposition.path
+            sums = oriented_sums(ol)
+            assert trace.decomposition.trimmed_tail is not None
+            assert trace.classes[path[-1]] is not VertexClass.PATH_END_LEAF
+            assert abs(sums[path[-1]]) != p.k2 + 1
+            violations, _ = check_class_intervals(ol, sums, trace.classes, path, p.k1, p.k2)
+            assert "uk_weight" not in violations
+        # the worked example's path ends at a path-end leaf, which must weigh k2 + 1 = 13
+        ol, trace = construct(parse_caterpillar([4, 0, 0, 2, 0, 1, 3]))
+        p, path = trace.partition, trace.decomposition.path
+        sums = oriented_sums(ol)
+        assert trace.classes[path[-1]] is VertexClass.PATH_END_LEAF
+        for weight, reported in ((p.k2 + 1, False), (p.k2, True), (p.k2 + 2, True)):
+            sums[path[-1]] = weight
+            violations, _ = check_class_intervals(ol, sums, trace.classes, path, p.k1, p.k2)
+            assert ("uk_weight" in violations) == reported
+
+    def test_equal_light_weights_are_not_distinct(self):
+        c = parse_caterpillar([1, 0, 0, 0, 1, 1])  # m=8, k1=3: light u_4 and u_5 weigh 0 and 2
+        ol, trace = construct(c)
+        p, path = trace.partition, trace.decomposition.path
+        sums = oriented_sums(ol)
+        u4, u5 = trace.light_order
+        sums[u4] = sums[u5]
+        violations, ranges = check_class_intervals(ol, sums, trace.classes, path, p.k1, p.k2)
+        # the light range (2, 2) stays below degree-one's (3, 5): distinctness within the group decides
+        assert ranges["light"] == (2, 2) and ranges["degree_one"] == (3, 5)
+        assert violations == ["light_not_distinct", "all_weights_not_distinct"]
+
     @given(caterpillars(), st.integers(0, 5))
     def test_class_intervals_nested(self, c, seed):
         ol, trace = construct(c, seed=seed)
@@ -254,6 +307,16 @@ class TestClaims:
             ("claim2", True),
             ("claim3", True),
         ]
+
+    def test_claim3_bound_is_k1_minus_1(self):
+        c = parse_caterpillar([4, 0, 0, 2, 0, 1, 3])  # m=16, k1=4, one light vertex
+        ol, trace = construct(c)
+        (light,) = trace.light_order
+        # claim 2 reads each listed vertex's weight, so repeating the light vertex changes only n_l
+        for n_l, holds in ((trace.partition.k1 - 1, True), (trace.partition.k1, False)):
+            forged = ConstructionTrace(**{**vars(trace), "light_order": (light,) * n_l})
+            assert forged.n_l == n_l
+            assert check_claims(c, ol, forged) == [("claim1", True), ("claim2", True), ("claim3", holds)]
 
     @given(caterpillars(), st.integers(0, 5))
     def test_all_claims_hold(self, c, seed):
