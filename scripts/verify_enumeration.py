@@ -3,9 +3,9 @@
 
 Prints one summary row per order, the CPU seconds the run took (process time:
 wall time on a shared machine also counts time other processes hold the CPU)
-and their mean per construction with its checks, and a final verdict. A failure is printed as
-FAIL and the record `antimagic stress` prints for one: the leaf-count line,
-the seed and the names of the failed checks, so
+with their mean per construction and its checks, and a final verdict. A
+failure is printed as FAIL and the record `antimagic stress` prints for one:
+the leaf-count line, the seed and the names of the failed checks, so
 `echo "<line>" | antimagic construct - --seed <seed>` replays it. Exit 1 on
 any failure, 2 for a --seeds below 1 or a --max-n below 3, and 4 for a
 --max-n above the CLI's order cap, as `antimagic gen` does.
