@@ -18,10 +18,11 @@ import json
 
 import pytest
 
+from antimagic import construction
 from antimagic.cli import main
 from antimagic.construction import construct
 from antimagic.generators import enumerate_caterpillars
-from antimagic.graph_core import format_leaf_counts
+from antimagic.graph_core import VertexClass, format_leaf_counts
 
 from conftest import random_instance
 
@@ -52,6 +53,30 @@ GEN_RANDOM_SHA256 = {
 ORACLE_SHA256 = "ad846bf2a3620171558e40d35bc3e7f5b27d4888b4d23fb417246c2025c1703f"
 
 
+def decided_orders(ol, trace) -> tuple:
+    """The three orders construct() decides, read off its labeling.
+
+    - Step 4's direction of path edge i: whether arc i runs u_i -> u_{i+1}.
+    - Step 6's light order: the t-th light vertex's edge gets label k2 - t + 1,
+      so the order is by descending light-edge label.
+    - Step 7's phase-2 order: the t-th heavy vertex's deferred edge, the one to
+      its last off-path leaf, gets the t-th smallest label left, so the order
+      is by ascending deferred-edge label.
+    """
+    d = trace.decomposition
+    label_of = {}
+    for (tail, head), lbl in zip(ol.arcs, ol.labels):
+        label_of[tail, head] = label_of[head, tail] = lbl
+    directions = tuple(arc == step for arc, step in zip(ol.arcs, zip(d.path, d.path[1:])))
+    light, heavy = [], []
+    for u, leaves in zip(d.path, d.offpath_leaves):
+        if leaves and trace.classes[u] is VertexClass.LIGHT:
+            light.append((-label_of[u, leaves[0]], u))
+        elif leaves and trace.classes[u] is VertexClass.HEAVY:
+            heavy.append((label_of[u, leaves[-1]], u))
+    return directions, tuple(u for _, u in sorted(light)), tuple(u for _, u in sorted(heavy))
+
+
 def construction_record(c, seed: int) -> tuple:
     ol, trace = construct(c, seed=seed)
     d = trace.decomposition
@@ -71,14 +96,40 @@ def construction_record(c, seed: int) -> tuple:
     )
 
 
-def test_construct_output_digest():
+def golden_cases() -> list:
     cases = [(c, seed) for c in enumerate_caterpillars(12) for seed in range(3)]
-    cases += [(random_instance(31, i, 1000), i) for i in range(300)]
+    return cases + [(random_instance(31, i, 1000), i) for i in range(300)]
+
+
+def test_construct_output_digest():
     digest = hashlib.sha256()
-    for c, seed in cases:
+    for c, seed in golden_cases():
         assert c.m <= 1000
         digest.update(repr(construction_record(c, seed)).encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_decided_orders_are_the_orders_the_steps_return(monkeypatch):
+    returned = []
+
+    def recording(name, pick):
+        step = getattr(construction, name)
+
+        def wrapper(*args):
+            result = step(*args)
+            returned.append(pick(result))
+            return result
+
+        monkeypatch.setattr(construction, name, wrapper)
+
+    recording("orient_path", lambda dirs: dirs)
+    recording("label_light_edges", lambda result: result[1])
+    recording("label_heavy_edges", lambda result: result[2])
+    for c, seed in golden_cases():
+        returned.clear()
+        ol, trace = construct(c, seed=seed)
+        assert decided_orders(ol, trace) == tuple(returned)
+        assert tuple(returned) == (trace.path_arc_directions, trace.light_order, trace.heavy_order)
 
 
 def construct_output(monkeypatch, fmt: str) -> str:
