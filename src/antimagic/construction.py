@@ -42,27 +42,22 @@ PATH_END_LEAF, NON_PATH_LEAF = VertexClass.PATH_END_LEAF, VertexClass.NON_PATH_L
 
 
 class ConstructionTrace(Record):
-    """Everything the construction decided, for checkers and debug output."""
+    """What the construction decided that its labeling does not show: the split, the path and the classes."""
 
-    __match_args__ = ("partition", "decomposition", "classes", "path_arc_directions", "light_order", "heavy_order")
+    __match_args__ = ("partition", "decomposition", "classes")
 
     def __init__(
         self,
         partition: LabelPartition,
         decomposition: PathDecomposition,
         classes: list[VertexClass],  # indexed by vertex
-        path_arc_directions: tuple[bool, ...],  # True: path edge i runs u_i -> u_{i+1}
-        light_order: tuple[int, ...],
-        heavy_order: tuple[int, ...],
     ) -> None:
-        vars(self).update(
-            partition=partition, decomposition=decomposition, classes=classes,
-            path_arc_directions=path_arc_directions, light_order=light_order, heavy_order=heavy_order,
-        )
+        vars(self).update(partition=partition, decomposition=decomposition, classes=classes)
 
     @property
     def n_l(self) -> int:
-        return len(self.light_order)
+        """The number of light vertices, all of which lie on the path."""
+        return sum(self.classes[v] is LIGHT for v in self.decomposition.path)
 
 
 def compute_label_partition(m: int, r: int) -> LabelPartition:
@@ -247,9 +242,9 @@ def construct(c: Caterpillar, seed: int = 0) -> tuple[OrientedLabeling, Construc
     classes = classify_vertices(c, d, path_labels)
     dirs = orient_path(d, classes)
     nonpath_arcs = orient_nonpath_edges(c, d, classes, dirs, path_labels)
-    light_labels, light_order = label_light_edges(c, d, p, classes, dirs, path_labels)
+    light_labels, _ = label_light_edges(c, d, p, classes, dirs, path_labels)
     rng = random.Random(seed)
-    heavy_labels, _, heavy_order, _ = label_heavy_edges(
+    heavy_labels, *_ = label_heavy_edges(
         c, d, p, classes, dirs, path_labels, nonpath_arcs, light_labels, rng
     )
 
@@ -265,12 +260,4 @@ def construct(c: Caterpillar, seed: int = 0) -> tuple[OrientedLabeling, Construc
         raise InvariantViolation("an off-path edge was never labeled") from None
 
     ol = OrientedLabeling(n=c.m + 1, arcs=tuple(arcs), labels=tuple(labels))
-    trace = ConstructionTrace(
-        partition=p,
-        decomposition=d,
-        classes=classes,
-        path_arc_directions=dirs,
-        light_order=light_order,
-        heavy_order=heavy_order,
-    )
-    return ol, trace
+    return ol, ConstructionTrace(partition=p, decomposition=d, classes=classes)

@@ -176,19 +176,20 @@ def check_claims(
     Path weights are recomputed from the final arcs restricted to path edges.
     """
     p = trace.partition
-    d = trace.decomposition
+    path = trace.decomposition.path
+    classes = trace.classes
     claim1 = p.k1 + p.k2 == c.m
 
     # u_i's path weight is flows[i-1] - flows[i]; the 0 appended stands for the steps before u_0 and after u_k
-    flows = [*path_flows(ol, d.path), 0]
-    path_index = {v: i for i, v in enumerate(d.path)}
+    flows = [*path_flows(ol, path), 0]
+    light = VertexClass.LIGHT
     claim2 = True
-    for v in trace.light_order:
-        idx = path_index[v]
-        w = abs(flows[idx - 1] - flows[idx])
-        expect_high = idx % 2 == 0
-        if w != (p.k2 + 1 if expect_high else p.k2):
-            claim2 = False
-    claim3 = trace.n_l <= p.k1 - 1
+    n_l = 0
+    for i, v in enumerate(path):
+        if classes[v] is light:
+            n_l += 1
+            if abs(flows[i - 1] - flows[i]) != (p.k2 + 1 if i % 2 == 0 else p.k2):
+                claim2 = False
+    claim3 = n_l <= p.k1 - 1
 
     return [("claim1", claim1), ("claim2", claim2), ("claim3", claim3)]

@@ -155,7 +155,7 @@ class TestConstructGoldens:
         sums = oriented_sums(ol)
         assert sums[4] == 0  # the light vertex
         assert verify_antimagic(ol)
-        assert trace.light_order == (4,)
+        assert trace.classes[4] is VertexClass.LIGHT and trace.n_l == 1
         assert not check_weight_classes(ol, trace).violations
 
     def test_seven_edge(self):
@@ -171,7 +171,7 @@ class TestConstructGoldens:
             ((7, 4), 5),
         ]
         assert oriented_sums(ol) == [10, -9, 12, -7, 6, -3, -4, -5]
-        assert trace.light_order == ()
+        assert trace.n_l == 0
         assert not check_weight_classes(ol, trace).violations
 
     def test_star_all_seeds(self):
@@ -216,7 +216,7 @@ class TestPaperExampleReconstruction:
         c = parse_caterpillar(self.COUNTS)
         ol, trace = construct(c)
         d = trace.decomposition
-        assert trace.light_order == (d.path[6],)
+        assert trace.classes[d.path[6]] is VertexClass.LIGHT and trace.n_l == 1
         p = trace.partition
         assert (p.k1, p.k2) == (4, 12)
         # the light edge carries the top label of L2; the oriented path weight
@@ -270,9 +270,13 @@ def test_every_step7_draw_up_to_order_10(monkeypatch):
     cases = []
     for c in enumerate_caterpillars(10):
         _, trace = construct(c)
-        p = trace.partition
+        p, d = trace.partition, trace.decomposition
         pool = range(p.k1 + 1, p.k2 - trace.n_l + 1)
-        cases.append((c, pool, len(pool) - len(trace.heavy_order)))  # one deferred edge per phase-2 vertex
+        # one deferred edge per heavy vertex with an off-path leaf
+        deferred = sum(
+            1 for u, leaves in zip(d.path, d.offpath_leaves) if leaves and trace.classes[u] is VertexClass.HEAVY
+        )
+        cases.append((c, pool, len(pool) - deferred))
     arrangement = []
     monkeypatch.setattr(construction, "random", SimpleNamespace(Random=lambda seed: _ScriptedShuffle(arrangement)))
     outcomes, failures = 0, []
@@ -306,7 +310,7 @@ class TestConstructProperties:
     def test_light_iff_codirected(self, c):
         ol, trace = construct(c)
         d = trace.decomposition
-        dirs = trace.path_arc_directions
+        dirs = [arc == step for arc, step in zip(ol.arcs, zip(d.path, d.path[1:]))]  # path arcs come first
         for i in range(1, d.k):
             v = d.path[i]
             codirected = dirs[i - 1] == dirs[i]

@@ -51,10 +51,7 @@ RECORDS = {
     "PathDecomposition": (("path", "k", "path_edges", "offpath_leaves", "trimmed_tail"), True),
     "LabelPartition": (("m", "k1", "k2"), True),
     "OrientedLabeling": (("n", "arcs", "labels"), True),
-    "ConstructionTrace": (
-        ("partition", "decomposition", "classes", "path_arc_directions", "light_order", "heavy_order"),
-        False,
-    ),
+    "ConstructionTrace": (("partition", "decomposition", "classes"), False),
     "GeneratorConfig": (("spine_range", "leaf_budget"), True),
     "OracleResult": (("m", "orientations_with_solution", "total_antimagic_pairs", "witness", "pairs_enumerated"), True),
     "VerificationReport": (("class_ranges", "antimagic", "violations"), False),

@@ -241,7 +241,7 @@ class TestClaims:
     def test_swapped_path_labels_break_claim2(self):
         c = parse_caterpillar([4, 0, 0, 2, 0, 1, 3])  # m=16, k2=12
         ol, trace = construct(c)
-        assert trace.light_order == (trace.decomposition.path[6],)
+        assert trace.classes[trace.decomposition.path[6]] is VertexClass.LIGHT and trace.n_l == 1
         assert ol.labels[4:7] == (2, 14, 1)  # path edges come first, in path order
         labels = list(ol.labels)
         labels[4], labels[5] = labels[5], labels[4]
@@ -259,7 +259,7 @@ class TestClaims:
         c = parse_caterpillar([1, 0, 0, 0, 2])  # m=7, k2=4
         ol, trace = construct(c)
         assert trace.partition.k2 == 4
-        assert trace.light_order == (trace.decomposition.path[5],)
+        assert trace.classes[trace.decomposition.path[5]] is VertexClass.LIGHT and trace.n_l == 1
         assert ol.labels[3:6] == (6, 1, 5)  # path edges 3, 4 and 5
         labels = list(ol.labels)
         labels[3], labels[5] = labels[5], labels[3]
@@ -286,14 +286,18 @@ class TestClaims:
         ]
 
     def test_claim3_bound_is_k1_minus_1(self):
-        c = parse_caterpillar([4, 0, 0, 2, 0, 1, 3])  # m=16, k1=4, one light vertex
+        c = parse_caterpillar([2])  # m=2, k1=k2=1, no light vertex
         ol, trace = construct(c)
-        (light,) = trace.light_order
-        # claim 2 reads each listed vertex's weight, so repeating the light vertex changes only n_l
-        for n_l, holds in ((trace.partition.k1 - 1, True), (trace.partition.k1, False)):
-            forged = ConstructionTrace(**{**vars(trace), "light_order": (light,) * n_l})
-            assert forged.n_l == n_l
-            assert check_claims(c, ol, forged) == [("claim1", True), ("claim2", True), ("claim3", holds)]
+        p, path = trace.partition, trace.decomposition.path
+        assert trace.n_l == p.k1 - 1
+        assert check_claims(c, ol, trace) == [("claim1", True), ("claim2", True), ("claim3", True)]
+        # u_k made light: its path weight, the last path label 2 = k2 + 1, sits at the even index k, so
+        # claim 2 still holds while n_l becomes k1
+        classes = list(trace.classes)
+        classes[path[-1]] = VertexClass.LIGHT
+        forged = ConstructionTrace(**{**vars(trace), "classes": classes})
+        assert forged.n_l == p.k1
+        assert check_claims(c, ol, forged) == [("claim1", True), ("claim2", True), ("claim3", False)]
 
     @given(caterpillars(), st.integers(0, 5))
     def test_all_claims_hold(self, c, seed):
