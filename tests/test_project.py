@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from antimagic.construction import ConstructionTrace
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "antimagic"
 
@@ -36,6 +38,41 @@ def test_verifier_takes_only_the_trace_from_the_construction():
         if level and (module == "construction" or "construction" in names)
     ]
     assert taken == [("construction", ("ConstructionTrace",))]
+
+
+def trace_reads(path):
+    """The attribute chains a source file reads off the name `trace`.
+
+    "decomposition.path" stands for trace.decomposition.path, and "" for the bare name.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "trace":
+            attributes = []
+            while isinstance(parent[node], ast.Attribute):
+                node = parent[node]
+                attributes.append(node.attr)
+            reads.add(".".join(attributes))
+    return reads
+
+
+def test_verifier_reads_only_the_split_the_path_and_the_classes_of_a_trace():
+    tree = ast.parse((PACKAGE / "verification.py").read_text())
+    traces = {
+        node.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.arg) and isinstance(node.annotation, ast.Name)
+        and node.annotation.id == "ConstructionTrace"
+    }
+    assert traces == {"trace"}  # so every trace it is handed is read through that name
+    assert trace_reads(PACKAGE / "verification.py") <= {"partition", "decomposition.path", "classes", "n_l"}
+
+
+def test_every_trace_field_is_read_outside_the_construction():
+    read = set().union(*(trace_reads(path) for path in PACKAGE.glob("*.py") if path.name != "construction.py"))
+    assert {name.partition(".")[0] for name in read} >= set(ConstructionTrace.__match_args__)
 
 
 def test_oracle_takes_only_verify_antimagic_from_the_verifier():
