@@ -103,6 +103,9 @@ def _read_instances(path: str | None) -> list[Caterpillar]:
     return out
 
 
+# A labeling document's top-level keys, in the order construct writes them.
+DOCUMENT_KEYS = ("n", "arcs", "sums", "classes", "path", "k1", "k2")
+
 # An arc in a JSON document is an object with exactly these keys, written in this order.
 ARC_KEYS = ("from", "to", "label")
 
@@ -317,6 +320,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if declared != sums:
             violations.append("declared_sums_mismatch")
         del declared
+    # Checked once every part is read, so a part's own fault is named first.
+    unknown = next((key for key in doc if key not in DOCUMENT_KEYS), None)
+    if unknown is not None:
+        raise InputError(f"unknown key {unknown!r}")
     if class_args is not None:
         violations += check_class_intervals(ol, sums, *class_args)[0]
     del ol, class_args  # the report needs only the sums

@@ -336,6 +336,24 @@ class TestVerify:
             ({"classes": lambda doc: [None, *doc["classes"][1:]]}, "expected a class name, got NoneType"),
             # vertex n is one past the last vertex
             ({"path": lambda doc: [*doc["path"][:-1], doc["n"]]}, "vertex 6 out of range for n=6"),
+            # a top-level key other than the seven a document has is refused: misspelled keys would skip their checks
+            (
+                {
+                    "sum": lambda doc: doc["sums"],
+                    "Classes": lambda doc: doc["classes"],
+                    "Path": lambda doc: doc["path"],
+                    "K1": lambda doc: doc["k1"],
+                    "K2": lambda doc: doc["k2"],
+                    **dict.fromkeys(["sums", "classes", "path", "k1", "k2"]),
+                },
+                "unknown key 'sum'",
+            ),
+            ({"note": "by hand"}, "unknown key 'note'"),
+            # each part's own fault is named before an unknown key
+            ({"note": 0, "n": 5, "arcs": []}, "n=5 vertices needs 4 edges"),
+            ({"note": 0, "classes": lambda doc: ["medium", *doc["classes"][1:]]}, "unknown class 'medium'"),
+            ({"note": 0, "path": None}, "missing path"),
+            ({"note": 0, "sums": [1, 2]}, "sums must be a list"),
         ],
     )
     def test_malformed_document(self, capsys, monkeypatch, patch, message):
