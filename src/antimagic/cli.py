@@ -20,7 +20,7 @@ from operator import itemgetter
 
 from . import oracle as oracle_mod
 from .construction import ConstructionTrace, construct
-from .generators import GeneratorConfig, enumerate_caterpillars, random_caterpillar
+from .generators import GeneratorConfig, check_config, enumerate_caterpillars, random_caterpillar
 from .graph_core import (
     Caterpillar,
     InputError,
@@ -369,6 +369,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _within_cap("--spine-max + --leaf-budget + 1", args.spine_max + args.leaf_budget + 1)
         rng = random.Random(args.seed)
         cfg = GeneratorConfig(spine_range=(args.spine_min, args.spine_max), leaf_budget=args.leaf_budget)
+        check_config(cfg)  # also when --count is 0
         for _ in range(args.count):
             print(format_leaf_counts(random_caterpillar(cfg, rng)))
     else:

@@ -47,6 +47,15 @@ def enumerate_caterpillars(max_n: int) -> Iterator[Caterpillar]:
                     yield parse_caterpillar(counts)
 
 
+def check_config(cfg: GeneratorConfig) -> None:
+    """InputError unless random caterpillars can be drawn with cfg."""
+    lo, hi = cfg.spine_range
+    if lo < 1 or hi < lo:
+        raise InputError(f"bad spine range {cfg.spine_range}")
+    if cfg.leaf_budget < 2:
+        raise InputError("leaf budget must be at least 2")
+
+
 def random_caterpillar(cfg: GeneratorConfig, rng: random.Random) -> Caterpillar:
     """Random caterpillar drawn from rng: uniform spine length, multinomial leaves.
 
@@ -58,12 +67,8 @@ def random_caterpillar(cfg: GeneratorConfig, rng: random.Random) -> Caterpillar:
     s.bit_length() bits, drawn again until one is below s. So the instances,
     and the state rng is left in, equal those of a `randrange` per leaf.
     """
-    lo, hi = cfg.spine_range
-    if lo < 1 or hi < lo:
-        raise InputError(f"bad spine range {cfg.spine_range}")
-    if cfg.leaf_budget < 2:
-        raise InputError("leaf budget must be at least 2")
-    s = rng.randint(lo, hi)
+    check_config(cfg)
+    s = rng.randint(*cfg.spine_range)
     counts = [0] * s
     k = s.bit_length()
     getrandbits = rng.getrandbits

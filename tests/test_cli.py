@@ -724,6 +724,20 @@ def test_generation_caps(capsys, monkeypatch):
     assert "=6 exceeds" in err
 
 
+@pytest.mark.parametrize("count", ["0", "1"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--spine-min", "5", "--spine-max", "4"], "bad spine range (5, 4)"),
+        (["--spine-min", "0"], "bad spine range (0, 10)"),
+        (["--leaf-budget", "1"], "leaf budget must be at least 2"),
+    ],
+)
+def test_gen_random_flags_are_checked_whatever_the_count(capsys, monkeypatch, flags, message, count):
+    code, out, err = run(capsys, monkeypatch, ["gen", "--random", "--count", count, *flags])
+    assert (code, out, err) == (EXIT_INPUT, "", f"input error: {message}\n")
+
+
 def test_gen_order_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_ORDER", 5)
     code, out, _ = run(capsys, monkeypatch, ["gen", "--max-n", "5"])
