@@ -62,12 +62,6 @@ CLASS_OF = {c.value: c for c in VertexClass}
 class RunRecord(Record):
     __match_args__ = ("line", "m", "seed", "violations", "wall_time")
 
-    def __init__(
-        self, line: str, m: int, seed: int, violations: list[str] | None = None, wall_time: float = 0.0
-    ) -> None:
-        violations = [] if violations is None else violations
-        vars(self).update(line=line, m=m, seed=seed, violations=violations, wall_time=wall_time)
-
 
 def _read_text(path: str | None) -> str:
     """The whole of the named file, or of stdin for None or "-"."""

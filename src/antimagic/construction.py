@@ -44,15 +44,7 @@ PATH_END_LEAF, NON_PATH_LEAF = VertexClass.PATH_END_LEAF, VertexClass.NON_PATH_L
 class ConstructionTrace(Record):
     """What the construction decided that its labeling does not show: the split, the path and the classes."""
 
-    __match_args__ = ("partition", "decomposition", "classes")
-
-    def __init__(
-        self,
-        partition: LabelPartition,
-        decomposition: PathDecomposition,
-        classes: list[VertexClass],  # indexed by vertex
-    ) -> None:
-        vars(self).update(partition=partition, decomposition=decomposition, classes=classes)
+    __match_args__ = ("partition", "decomposition", "classes")  # classes is indexed by vertex
 
     @property
     def n_l(self) -> int:

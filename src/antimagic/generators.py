@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import random
-from typing import Iterator, NamedTuple
+from collections.abc import Iterator
 
-from .graph_core import Caterpillar, InputError, parse_caterpillar
+from .graph_core import Caterpillar, InputError, Record, parse_caterpillar
 
 
-class GeneratorConfig(NamedTuple):
-    spine_range: tuple[int, int] = (1, 10)
-    leaf_budget: int = 10
+class GeneratorConfig(Record):
+    __match_args__ = ("spine_range", "leaf_budget")
 
 
 def _compositions(total: int, parts: int, lo: int) -> Iterator[tuple[int, ...]]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from typing import Optional
 
 Edge = tuple[int, int]  # unordered pair, stored as (min, max)
 Arc = tuple[int, int]   # ordered pair (tail, head)
@@ -20,12 +19,27 @@ Arc = tuple[int, int]   # ordered pair (tail, head)
 class Record:
     """An immutable value, equal, hashed and shown by the fields `__match_args__` names.
 
-    A subclass's `__init__` stores the fields in `vars(self)`; assigning or
-    deleting an attribute afterwards raises AttributeError. The methods are
+    `__init__` binds each field, by position or by keyword, exactly once, and
+    stores it in `vars(self)`; a subclass that validates or normalises its
+    fields defines its own `__init__` and stores them the same way. Assigning
+    or deleting an attribute afterwards raises AttributeError. The methods are
     written once, here, so defining a record generates no code at import.
     """
 
     __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        # zip drops surplus positional arguments and a keyword overrides its field: either leaves fewer fields
+        fields = dict(zip(names, args), **kwargs) if args else kwargs
+        if len(fields) != len(args) + len(kwargs) or fields.keys() != {*names}:
+            surplus = len(args) > len(names)
+            faults = [f"{len(args)} positional arguments for {len(names)} fields"] if surplus else []
+            faults += [f"field {name!r} given twice" for name in names[: len(args)] if name in kwargs]
+            faults += [f"unknown field {name!r}" for name in kwargs if name not in names]
+            faults += [f"missing field {name!r}" for name in names if name not in fields]
+            raise TypeError(f"{type(self).__qualname__}: {'; '.join(faults)}")
+        vars(self).update(fields)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -125,11 +139,8 @@ class Caterpillar(Record):
     `Tree`, on first read.
     """
 
+    # the leaf count of each spine vertex 0..s-1, the edge count, the leaf count
     __match_args__ = ("leaf_counts", "m", "r")
-
-    def __init__(self, leaf_counts: tuple[int, ...], m: int, r: int) -> None:
-        # the leaf count of each spine vertex 0..s-1, the edge count, the leaf count
-        vars(self).update(leaf_counts=leaf_counts, m=m, r=r)
 
     @cached_property
     def tree(self) -> Tree:
@@ -175,19 +186,13 @@ class PathDecomposition(Record):
     spine ids, so (u_i, w) is already an Edge for each such leaf w.
     """
 
-    __match_args__ = ("path", "k", "path_edges", "offpath_leaves", "trimmed_tail")
-
-    def __init__(
-        self,
-        path: tuple[int, ...],              # u_0 .. u_k
-        k: int,                             # number of path edges, always even
-        path_edges: tuple[Edge, ...],       # in path order
-        offpath_leaves: tuple[range, ...],  # per path index
-        trimmed_tail: Optional[int],        # the dropped endpoint when m - r is odd
-    ) -> None:
-        vars(self).update(
-            path=path, k=k, path_edges=path_edges, offpath_leaves=offpath_leaves, trimmed_tail=trimmed_tail
-        )
+    __match_args__ = (
+        "path",            # u_0 .. u_k
+        "k",               # number of path edges, always even
+        "path_edges",      # in path order
+        "offpath_leaves",  # per path index
+        "trimmed_tail",    # the dropped endpoint when m - r is odd, else None
+    )
 
     @property
     def nonpath_edges(self) -> frozenset[Edge]:
@@ -231,9 +236,6 @@ class LabelPartition(Record):
     """Split of the label set [1, m] into L1 = [1,k1], L2 = (k1,k2], L3 = (k2,m]."""
 
     __match_args__ = ("m", "k1", "k2")
-
-    def __init__(self, m: int, k1: int, k2: int) -> None:
-        vars(self).update(m=m, k1=k1, k2=k2)
 
     @property
     def L1(self) -> range:

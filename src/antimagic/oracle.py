@@ -11,23 +11,20 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Iterator
 from itertools import permutations, product, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import verification
 from .construction import construct
-from .graph_core import Arc, Caterpillar, OrientedLabeling, ResourceLimitError, Tree
+from .graph_core import Arc, Caterpillar, OrientedLabeling, Record, ResourceLimitError, Tree
 
 DEFAULT_CAP = 8
 FULL_COUNT_MAX_M = 6  # exhaustive_search counts in full up to here even without count_all
 
 
-class OracleResult(NamedTuple):
-    m: int
-    orientations_with_solution: int
-    total_antimagic_pairs: int
-    witness: Optional[OrientedLabeling]
-    pairs_enumerated: int
+class OracleResult(Record):
+    # witness: the first antimagic labeling found, or None
+    __match_args__ = ("m", "orientations_with_solution", "total_antimagic_pairs", "witness", "pairs_enumerated")
 
 
 def sums_distinct(n: int, arcs: tuple[Arc, ...], labels: tuple[int, ...]) -> bool:

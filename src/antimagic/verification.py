@@ -22,12 +22,6 @@ from .graph_core import (
 class VerificationReport(Record):
     __match_args__ = ("class_ranges", "antimagic", "violations")
 
-    def __init__(
-        self, class_ranges: dict[str, tuple[int, int]], antimagic: bool, violations: list[str] | None = None
-    ) -> None:
-        violations = [] if violations is None else violations
-        vars(self).update(class_ranges=class_ranges, antimagic=antimagic, violations=violations)
-
 
 def oriented_sums(ol: OrientedLabeling) -> list[int]:
     """Per-vertex sum of entering labels minus leaving labels, indexed by vertex."""

@@ -15,7 +15,7 @@ from antimagic.graph_core import (
     parse_caterpillar,
 )
 from antimagic.oracle import OracleResult, exhaustive_search
-from antimagic.verification import VerificationReport, check_weight_classes
+from antimagic.verification import check_weight_classes
 
 
 def build(name):
@@ -34,13 +34,13 @@ def build(name):
     if name == "ConstructionTrace":
         return construct(c)[1]
     if name == "GeneratorConfig":
-        return GeneratorConfig(spine_range=(2, 3))
+        return GeneratorConfig(spine_range=(2, 3), leaf_budget=10)
     if name == "OracleResult":
         return exhaustive_search(Tree(n=3, edges=((0, 1), (1, 2))))
     if name == "VerificationReport":
         return check_weight_classes(*construct(c))
     if name == "RunRecord":
-        return RunRecord(line="1 1 1", m=5, seed=0, violations=["claim2"])
+        return RunRecord(line="1 1 1", m=5, seed=0, violations=["claim2"], wall_time=0.0)
     raise AssertionError(name)
 
 
@@ -112,7 +112,7 @@ def test_small_reprs():
     assert repr(Tree(n=3, edges=((1, 0), (2, 1)))) == "Tree(n=3, edges=((0, 1), (1, 2)))"
     assert repr(parse_caterpillar([2])) == "Caterpillar(leaf_counts=(2,), m=2, r=2)"
     assert repr(LabelPartition(m=5, k1=2, k2=3)) == "LabelPartition(m=5, k1=2, k2=3)"
-    assert repr(GeneratorConfig()) == "GeneratorConfig(spine_range=(1, 10), leaf_budget=10)"
+    assert repr(GeneratorConfig((1, 10), 10)) == "GeneratorConfig(spine_range=(1, 10), leaf_budget=10)"
 
 
 def test_records_of_different_types_are_unequal():
@@ -125,12 +125,18 @@ def test_records_of_different_types_are_unequal():
     assert LabelPartition(m=5, k1=2, k2=3) != LabelPartition(m=5, k1=3, k2=2)
 
 
-def test_defaults():
-    assert GeneratorConfig() == GeneratorConfig(spine_range=(1, 10), leaf_budget=10)
-    report, other = VerificationReport(class_ranges={}, antimagic=True), VerificationReport({}, True)
-    assert report.violations == [] and report.violations is not other.violations  # a fresh list each
-    record = RunRecord(line="2", m=2, seed=0)
-    assert (record.violations, record.wall_time) == ([], 0.0)
+def test_fields_bind_by_position_or_keyword_each_exactly_once():
+    assert LabelPartition(5, 2, 3) == LabelPartition(5, k1=2, k2=3) == LabelPartition(m=5, k1=2, k2=3)
+    for args, kwargs, fault in [
+        ((5, 2), {}, "missing field 'k2'"),
+        ((), {"m": 5, "k1": 2, "k2": 3, "k3": 4}, "unknown field 'k3'"),
+        ((5,), {"m": 5, "k1": 2, "k2": 3}, "field 'm' given twice"),
+        ((5, 2, 3, 4), {}, "4 positional arguments for 3 fields"),
+    ]:
+        with pytest.raises(TypeError, match=f"^LabelPartition: {fault}$"):
+            LabelPartition(*args, **kwargs)
+    with pytest.raises(TypeError, match="missing field 'leaf_budget'"):
+        GeneratorConfig((1, 10))  # no field has a default
 
 
 def test_caterpillar_tree_is_cached_and_ignored_by_equality():
