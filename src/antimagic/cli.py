@@ -42,12 +42,12 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_REFUSED = 4
 
-# construct and oracle refuse an input line with more edges than this, stress
-# a --max-m above it, gen --random a largest m above it. At m = 10^6 (spine
-# m/3; Python 3.11, 2 vCPUs, stdout to a file), construct --format json writes
-# a 59.7 MB document in 6-8 s of CPU and peaks at ~560 MB resident (15 MB more
-# than with spaces: glibc's mmap threshold, not a larger live set), and verify
-# of it, read from a file, ~4.5 s and ~355 MB.
+# construct and oracle refuse an input line with more edges than this, verify
+# a document with more arcs, stress a --max-m above it, gen --random a largest
+# m above it. At m = 10^6 (spine m/3; Python 3.11, 2 vCPUs, stdout to a file),
+# construct --format json writes a 59.7 MB document in 6-8 s of CPU and peaks
+# at ~560 MB resident (15 MB more than with spaces: glibc's mmap threshold, not
+# a larger live set), and verify of it, read from a file, ~4.5 s and ~355 MB.
 MAX_EDGES = 2_000_000
 
 # gen refuses a --max-n above this. There are 2^(n-4) + 2^((n-4)//2)
@@ -208,6 +208,7 @@ def _labeling_from_json(doc: dict) -> OrientedLabeling:
         # object in place of the array would iterate as its three values.
         if type(raw) is not list or not set(map(type, raw)) <= {tuple}:
             raise TypeError("arcs must be an array of objects whose keys are exactly from, to and label")
+        _within_cap("arcs", len(raw))
         if not set(map(type, chain.from_iterable(raw))) <= {int}:
             # the fault named is the first one found when every endpoint is checked before any label
             _ints([v for tail, head, _ in raw for v in (tail, head)])

@@ -179,6 +179,15 @@ class TestVerify:
         assert code == EXIT_OK
         assert json.loads(out)["antimagic"] is True
 
+    def test_size_cap_boundary(self, capsys, monkeypatch):
+        text = json.dumps(self.construct_json(capsys, monkeypatch, "1 0 2 0 1 3 1\n"))  # m = 14
+        monkeypatch.setattr(cli, "MAX_EDGES", 14)
+        assert run(capsys, monkeypatch, ["verify", "-"], stdin=text)[0] == EXIT_OK
+        monkeypatch.setattr(cli, "MAX_EDGES", 5)
+        code, out, err = run(capsys, monkeypatch, ["verify", "-"], stdin=text)
+        assert (code, out) == (EXIT_REFUSED, "")
+        assert err == "refused: arcs=14 exceeds the input cap of 5 edges\n"
+
     def test_swap_collision_detected(self, capsys, monkeypatch):
         doc = self.construct_json(capsys, monkeypatch, "1 1 1\n")
         # force two equal sums: both path-end leaves see labels 2 and 4;
