@@ -120,15 +120,49 @@ print(" ".join(sorted(set(sys.modules) - before)))
 def test_import_loads_no_dataclasses_inspect_or_traceback():
     # Importing is a large share of a one-instance CLI run, and these modules
     # (with the ast, dis and tokenize that inspect loads) serve no correct run.
-    # The site module may have loaded some of them already: only the import's
-    # own additions count.
+    # -S keeps the site module from loading any of them (it loads typing)
+    # before the probe counts what the import adds.
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(ROOT / "src")], capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", IMPORT_PROBE, str(ROOT / "src")], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     added = set(done.stdout.split())
     assert "antimagic.cli" in added
-    assert added & {"dataclasses", "inspect", "traceback"} == set()
+    assert added & {"dataclasses", "inspect", "traceback", "typing"} == set()
+
+
+def test_one_record_mechanism():
+    # Every value record binds its fields in Record.__init__; only the two
+    # that validate and normalise their fields write their own.
+    nodes = [
+        (path.name, node) for path in sorted(PACKAGE.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+    ]
+    classes = {node.name: node for _, node in nodes if isinstance(node, ast.ClassDef)}
+
+    def is_record(c):
+        bases = [b.id for b in c.bases if isinstance(b, ast.Name)]
+        return "Record" in bases or any(is_record(classes[b]) for b in bases if b in classes)
+
+    with_init = {
+        name
+        for name, c in classes.items()
+        if is_record(c) and any(isinstance(node, ast.FunctionDef) and node.name == "__init__" for node in c.body)
+    }
+    assert with_init == {"Tree", "OrientedLabeling"}
+    other_mechanisms = [
+        (path.name, module)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for level, module, _ in imports(path)
+        if level == 0 and module.partition(".")[0] in {"typing", "dataclasses"}
+    ]
+    assert other_mechanisms == []
+    named_tuples = [
+        (name, node.lineno)
+        for name, node in nodes
+        if (isinstance(node, ast.Name) and node.id in {"NamedTuple", "namedtuple"})
+        or (isinstance(node, ast.Attribute) and node.attr in {"NamedTuple", "namedtuple"})
+    ]
+    assert named_tuples == []
 
 
 FAILING_PROPERTY = """

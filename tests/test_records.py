@@ -1,15 +1,19 @@
 """The package's value records: equality, hash, repr, immutability and pickling."""
 
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import antimagic
 from antimagic.cli import RunRecord
 from antimagic.construction import compute_label_partition, construct
 from antimagic.generators import GeneratorConfig
 from antimagic.graph_core import (
     LabelPartition,
     OrientedLabeling,
+    Record,
     Tree,
     longest_path_decomposition,
     parse_caterpillar,
@@ -57,6 +61,19 @@ RECORDS = {
     "VerificationReport": (("class_ranges", "antimagic", "violations"), False),
     "RunRecord": (("line", "m", "seed", "violations", "wall_time"), False),
 }
+
+
+def test_every_record_of_the_package_is_listed():
+    # so that no record of the package skips the tests below
+    for module in pkgutil.iter_modules(antimagic.__path__):
+        importlib.import_module(f"antimagic.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("antimagic."):
+                found.add(cls.__name__)
+    assert found == set(RECORDS)
 
 
 @pytest.mark.parametrize("name", RECORDS)
